@@ -42,5 +42,5 @@ for name, mech in (("correct", correct_mechanism), ("broken", broken_mechanism))
     print("  json:", report.to_json())
 
 print("\nThe standard suite audits every mechanism in the package on small")
-print("worst-case inputs; run it via the CLI (about a minute at 10^5 trials):")
+print("worst-case inputs; run it via the CLI (a few seconds at 10^5 trials):")
 print("  gapdp audit --eps 1.0 --trials 100000 --format json")

@@ -16,18 +16,30 @@ can be arbitrary; any selector can be wrapped and still release the gap.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from .noise import Gumbel, RandomSource, sample, sample_logistic_nonneg
+import numpy as np
+
+from .noise import (
+    Gumbel,
+    RandomSource,
+    sample,
+    sample_logistic_nonneg,
+    sample_logistic_nonneg_array,
+)
+from .topk import ranked
 
 __all__ = [
     "ExpMechResult",
     "UtilityTable",
     "categorical_softmax_selector",
+    "exp_mech_blackbox_batch",
     "exp_mech_blackbox_gap",
     "exp_mech_gumbel",
+    "exp_mech_gumbel_batch",
     "log_sum_exp_excluding",
 ]
 
@@ -99,6 +111,24 @@ def exp_mech_gumbel(u: UtilityTable, src: RandomSource) -> ExpMechResult:
     return ExpMechResult(best_index, best - second)
 
 
+def exp_mech_gumbel_batch(u: UtilityTable):
+    """Batch kernel of :func:`exp_mech_gumbel`, for the audit.
+
+    Returns ``(n, kernel, False)``; ``kernel(U)`` maps a (trials, n)
+    uniform matrix to every trial's winner (int64, trials x 1) and gap
+    (float64, trials x 1).  The scalar scan keeps the first of equal maxima,
+    as ``ranked`` does.
+    """
+    scaled = np.array(u.scaled_scores())
+    gumbel = Gumbel(0.0)
+
+    def kernel(U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        order, top = ranked(scaled + gumbel.inverse_cdf_array(U), 2)
+        return order[:, :1], top[:, :1] - top[:, 1:]
+
+    return len(scaled), kernel, False
+
+
 def categorical_softmax_selector(scaled: Sequence[float], src: RandomSource) -> int:
     """Inverse-CDF draw from the softmax over the scaled scores."""
     m = max(scaled)
@@ -131,3 +161,31 @@ def exp_mech_blackbox_gap(
     s = choose(scaled, src)
     location = scaled[s] - log_sum_exp_excluding(scaled, s)
     return ExpMechResult(s, sample_logistic_nonneg(location, src))
+
+
+def exp_mech_blackbox_batch(u: UtilityTable):
+    """Batch kernel of :func:`exp_mech_blackbox_gap` with the default
+    selector, for the audit.
+
+    Returns ``(2, kernel, False)``; ``kernel(U)`` maps a (trials, 2)
+    uniform matrix (selector draw, gap draw) to every trial's winner (int64,
+    trials x 1) and gap (float64, trials x 1).  The softmax weights are
+    accumulated in :func:`categorical_softmax_selector`'s order, so the
+    inverse-CDF search picks the same outcome.
+    """
+    scaled = u.scaled_scores()
+    m = max(scaled)
+    weights = [math.exp(x - m) for x in scaled]
+    total = sum(weights)
+    cumulative = np.array(list(itertools.accumulate(weights)))
+    last = len(scaled) - 1
+    locations = np.array(
+        [scaled[s] - log_sum_exp_excluding(scaled, s) for s in range(len(scaled))]
+    )
+
+    def kernel(U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # The first i whose running weight exceeds u * total, as the selector scans.
+        s = np.minimum(np.searchsorted(cumulative, U[:, 0] * total, side="right"), last)
+        return s[:, None], sample_logistic_nonneg_array(locations[s], U[:, 1])[:, None]
+
+    return 2, kernel, False

@@ -35,8 +35,19 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import audit as audit_mod
-from .expmech import UtilityTable, exp_mech_blackbox_gap, exp_mech_gumbel
-from .hybrid import hybrid_estimates, hybrid_identity
+from .expmech import (
+    UtilityTable,
+    exp_mech_blackbox_batch,
+    exp_mech_blackbox_gap,
+    exp_mech_gumbel,
+    exp_mech_gumbel_batch,
+)
+from .hybrid import (
+    hybrid_estimates,
+    hybrid_estimates_batch,
+    hybrid_identity,
+    hybrid_identity_batch,
+)
 from .noise import Laplace, RandomSource, SeededSource, sample
 from .postprocess import (
     BlueInput,
@@ -47,8 +58,8 @@ from .postprocess import (
     svt_variance_model,
 )
 from .queries import QuerySet, adjacent_counts, item_counts, load_transactions
-from .svt import SvtConfig, adaptive_svt, canonical_family, gap_svt, theta_optimal
-from .topk import gap_topk
+from .svt import SvtConfig, adaptive_svt, canonical_family, gap_svt, svt_batch, theta_optimal
+from .topk import gap_topk, gap_topk_batch
 
 __all__ = [
     "EXPERIMENTS",
@@ -440,6 +451,17 @@ class AuditCase:
     min_count: int = 1000
 
 
+def _batched(scalar: Callable, batch: Callable, *args) -> Callable:
+    """The mechanism ``scalar(qs, *args, src)``, carrying as ``batch`` its
+    kernel builder ``batch(qs, *args)`` for the auditor's batch path."""
+
+    def mech(qs: QuerySet, src: RandomSource):
+        return scalar(qs, *args, src)
+
+    mech.batch = lambda qs: batch(qs, *args)
+    return mech
+
+
 def standard_audit_cases(eps: float = 1.0) -> list[AuditCase]:
     """The full mechanism suite on small (n <= 5) worst-case inputs.
 
@@ -447,6 +469,8 @@ def standard_audit_cases(eps: float = 1.0) -> list[AuditCase]:
     +1); the exponential-mechanism cases use a mixed plus/minus utility
     shift, the worst case a sensitivity-1 utility allows.  Top-k runs on
     monotonic counting inputs, so its claimed budget is eps/2.
+
+    Every case carries its batch kernel (see :mod:`gapdp.audit`).
     """
     cases: list[AuditCase] = []
 
@@ -455,7 +479,7 @@ def standard_audit_cases(eps: float = 1.0) -> list[AuditCase]:
     gap_cfg = SvtConfig(epsilon=eps, k=1, threshold=1.0, theta=0.5)
     cases.append(AuditCase(
         "gap_svt",
-        lambda qs, src, cfg=gap_cfg: gap_svt(qs, cfg, src),
+        _batched(gap_svt, svt_batch, gap_cfg),
         svt_values, svt_plus, eps, bin_width=1.0,
     ))
     for family in ("laplace", "exponential", "geometric"):
@@ -464,7 +488,7 @@ def standard_audit_cases(eps: float = 1.0) -> list[AuditCase]:
         )
         cases.append(AuditCase(
             f"adaptive_svt_{family}",
-            lambda qs, src, cfg=a_cfg: adaptive_svt(qs, cfg, src),
+            _batched(adaptive_svt, svt_batch, a_cfg),
             svt_values, svt_plus, eps, bin_width=2.0,
         ))
 
@@ -475,7 +499,7 @@ def standard_audit_cases(eps: float = 1.0) -> list[AuditCase]:
     for family in ("laplace", "exponential"):
         cases.append(AuditCase(
             f"gap_topk_{family}",
-            lambda qs, src, fam=family: gap_topk(qs, 1, eps, fam, src),
+            _batched(gap_topk, gap_topk_batch, 1, eps, family),
             topk_values, topk_plus, eps / 2.0, bin_width=0.5,
         ))
 
@@ -483,25 +507,29 @@ def standard_audit_cases(eps: float = 1.0) -> list[AuditCase]:
     hybrid_plus = adjacent_counts(hybrid_values, range(3), +1)
     cases.append(AuditCase(
         "hybrid_identity",
-        lambda qs, src: hybrid_identity(qs, 0.5, 2, eps, src),
+        _batched(hybrid_identity, hybrid_identity_batch, 0.5, 2, eps),
         hybrid_values, hybrid_plus, eps, bin_width=1.0,
     ))
     cases.append(AuditCase(
         "hybrid_estimates",
-        lambda qs, src: hybrid_estimates(qs, 0.5, 2, eps, 0.5, src),
+        _batched(hybrid_estimates, hybrid_estimates_batch, 0.5, 2, eps, 0.5),
         hybrid_values, hybrid_plus, eps, bin_width=2.0,
     ))
 
     scores = QuerySet((0.0, 1.0, 2.0))
     scores_shift = QuerySet((1.0, 0.0, 3.0))
+
+    def on_utilities(fn):
+        return lambda qs, *rest: fn(UtilityTable(qs.values, 1.0, eps), *rest)
+
     cases.append(AuditCase(
         "exp_mech_gumbel",
-        lambda qs, src: exp_mech_gumbel(UtilityTable(qs.values, 1.0, eps), src),
+        _batched(on_utilities(exp_mech_gumbel), on_utilities(exp_mech_gumbel_batch)),
         scores, scores_shift, eps, bin_width=0.5,
     ))
     cases.append(AuditCase(
         "exp_mech_blackbox",
-        lambda qs, src: exp_mech_blackbox_gap(UtilityTable(qs.values, 1.0, eps), src),
+        _batched(on_utilities(exp_mech_blackbox_gap), on_utilities(exp_mech_blackbox_batch)),
         scores, scores_shift, eps, bin_width=0.5,
     ))
     return cases

@@ -23,10 +23,19 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
-from .noise import Exponential, RandomSource, sample
-from .queries import QuerySet
+import numpy as np
 
-__all__ = ["HybridResult", "hybrid_estimates", "hybrid_identity"]
+from .noise import Exponential, RandomSource, ReplaySource, sample
+from .queries import QuerySet
+from .topk import ranked
+
+__all__ = [
+    "HybridResult",
+    "hybrid_estimates",
+    "hybrid_estimates_batch",
+    "hybrid_identity",
+    "hybrid_identity_batch",
+]
 
 THRESHOLD_SENTINEL = 0  # index reserved for the noisy threshold in hybrid_identity
 
@@ -97,6 +106,29 @@ def hybrid_identity(
     return HybridResult(tuple(pairs), (t / k) * eps, "identity")
 
 
+def hybrid_identity_batch(q: QuerySet, threshold: float, k: int, eps: float):
+    """Batch kernel of :func:`hybrid_identity` on ``q``, for the audit.
+
+    Returns ``(n + 1, kernel, False)``; ``kernel(U)`` maps a (trials, n + 1)
+    uniform matrix (threshold draw first) to every trial's released indices
+    (int64, -1 after the sentinel) and gaps (float64, NaN after it).
+    """
+    n = len(q.values)
+    # One scalar run on a replayed row rejects what the scalar function rejects.
+    hybrid_identity(q, threshold, k, eps, ReplaySource([0.5] * (n + 1)))
+    kind = Exponential(2.0 * k / eps)
+    offsets = np.array((threshold,) + q.values)
+
+    def kernel(U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        order, top = ranked(offsets + kind.inverse_cdf_array(U), k + 1)
+        codes, gaps = order[:, :k], top[:, :k] - top[:, 1:]
+        sentinel = codes == THRESHOLD_SENTINEL
+        past = np.cumsum(sentinel, axis=1) > sentinel
+        return np.where(past, -1, codes), np.where(past, np.nan, gaps)
+
+    return n + 1, kernel, False
+
+
 def hybrid_estimates(
     q: QuerySet,
     threshold: float,
@@ -136,3 +168,32 @@ def hybrid_estimates(
         pairs.append((-neg_index, value - noisy_threshold))
     t = len(pairs)
     return HybridResult(tuple(pairs), (theta + (t / k) * (1.0 - theta)) * eps, "estimates")
+
+
+def hybrid_estimates_batch(
+    q: QuerySet, threshold: float, k: int, eps: float, theta: float
+):
+    """Batch kernel of :func:`hybrid_estimates` on ``q``, for the audit.
+
+    Returns ``(n + 1, kernel, False)``; ``kernel(U)`` maps a (trials, n + 1)
+    uniform matrix (threshold draw first) to every trial's released indices
+    (int64, -1 padded) and gaps over the noisy threshold (float64, NaN padded).
+    """
+    n = len(q.values)
+    # One scalar run on a replayed row rejects what the scalar function rejects.
+    hybrid_estimates(q, threshold, k, eps, theta, ReplaySource([0.5] * (n + 1)))
+    eps0 = theta * eps
+    eps1 = (1.0 - theta) * eps / k
+    b0 = 1.0 / eps0
+    b1 = 2.0 / eps1
+    threshold_kind = Exponential(1.0 / eps0)
+    query_kind = Exponential(2.0 / eps1)
+    values = np.array(q.values)
+
+    def kernel(U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        noisy_threshold = threshold + threshold_kind.inverse_cdf_array(U[:, :1]) - b0
+        order, top = ranked(values + query_kind.inverse_cdf_array(U[:, 1:]) - b1, k)
+        above = np.logical_and.accumulate(top >= noisy_threshold, axis=1)
+        return np.where(above, order, -1), np.where(above, top - noisy_threshold, np.nan)
+
+    return n + 1, kernel, False

@@ -7,6 +7,14 @@ source.  :class:`SeededSource` gives reproducible pseudo-random streams;
 :class:`ReplaySource` replays a fixed list of uniforms, which is what makes
 exact zero-noise hand traces testable.
 
+The audit's batch kernels draw a whole matrix of uniforms at once
+(:meth:`RandomSource.uniform_matrix`) and map it through the array forms
+``inverse_cdf_array`` and :func:`sample_logistic_nonneg_array`.  Each array
+form applies the same floating-point operations as its scalar twin, so the
+two agree up to the last-ulp differences between numpy's and ``math``'s
+``log``/``log1p``/``exp``; a draw of exactly 0 maps to the same value
+(-inf for Laplace and Gumbel).
+
 Distribution conventions:
 
 * ``Laplace(scale)``      -- density exp(-|x|/scale)/(2 scale), variance 2*scale**2.
@@ -41,6 +49,7 @@ __all__ = [
     "mean_of",
     "sample",
     "sample_logistic_nonneg",
+    "sample_logistic_nonneg_array",
     "variance_of",
 ]
 
@@ -58,6 +67,14 @@ class RandomSource:
 
     def uniform(self) -> float:
         raise NotImplementedError
+
+    def uniform_matrix(self, rows: int, cols: int) -> np.ndarray:
+        """The next ``rows * cols`` uniforms as a C-order (rows, cols) array:
+        row r holds what the r-th of ``rows`` back-to-back ``cols``-draw
+        runs would read."""
+        return np.array(
+            [self.uniform() for _ in range(rows * cols)], dtype=np.float64
+        ).reshape(rows, cols)
 
 
 class SeededSource(RandomSource):
@@ -79,6 +96,16 @@ class SeededSource(RandomSource):
         u = self._buf[self._pos]
         self._pos += 1
         return u
+
+    def uniform_matrix(self, rows: int, cols: int) -> np.ndarray:
+        # Drain the buffer first so the matrix continues the scalar stream.
+        n = rows * cols
+        head = self._buf[self._pos:self._pos + n]
+        self._pos += len(head)
+        tail = self._gen.random(n - len(head))
+        if head:
+            tail = np.concatenate([np.array(head, dtype=np.float64), tail])
+        return tail.reshape(rows, cols)
 
 
 class ReplaySource(RandomSource):
@@ -132,6 +159,12 @@ class Laplace:
         magnitude = -self.scale * math.log1p(-2.0 * abs(v))
         return magnitude if v > 0.0 else -magnitude
 
+    def inverse_cdf_array(self, u: np.ndarray) -> np.ndarray:
+        v = u - 0.5
+        with np.errstate(divide="ignore"):  # u = 0 gives -inf, as above
+            magnitude = -self.scale * np.log1p(-2.0 * np.abs(v))
+        return np.where(v < 0.0, -magnitude, magnitude)
+
 
 @dataclass(frozen=True)
 class Exponential:
@@ -151,6 +184,9 @@ class Exponential:
 
     def inverse_cdf(self, u: float) -> float:
         return -self.scale * math.log1p(-u)
+
+    def inverse_cdf_array(self, u: np.ndarray) -> np.ndarray:
+        return -self.scale * np.log1p(-u)
 
 
 @dataclass(frozen=True)
@@ -175,6 +211,10 @@ class Geometric:
             return 0.0
         return float(math.floor(math.log1p(-u) / math.log1p(-self.p)))
 
+    def inverse_cdf_array(self, u: np.ndarray) -> np.ndarray:
+        # u = 0 gives -0.0 / negative = 0.0, the scalar's special case.
+        return np.floor(np.log1p(-u) / math.log1p(-self.p))
+
 
 @dataclass(frozen=True)
 class Gumbel:
@@ -196,6 +236,10 @@ class Gumbel:
         if u <= 0.0:
             return -math.inf
         return self.loc - math.log(-math.log(u))
+
+    def inverse_cdf_array(self, u: np.ndarray) -> np.ndarray:
+        with np.errstate(divide="ignore"):  # u = 0 gives -inf, as above
+            return self.loc - np.log(-np.log(u))
 
 
 @dataclass(frozen=True)
@@ -258,3 +302,16 @@ def sample_logistic_nonneg(location: float, src: RandomSource) -> float:
     else:
         head = math.log1p(math.exp(a))
     return head - math.log1p(-u)
+
+
+def sample_logistic_nonneg_array(location, u: np.ndarray) -> np.ndarray:
+    """Array form of :func:`sample_logistic_nonneg` on given uniforms ``u``.
+
+    ``location`` may be a scalar or an array broadcasting against ``u``.
+    Both branches of the scalar's log-sum-exp are one expression here, so
+    neither can overflow for the rows that take the other.
+    """
+    u = np.where(u <= 0.0, math.ulp(0.0), u)
+    a = location + np.log(u)
+    head = np.maximum(a, 0.0) + np.log1p(np.exp(-np.abs(a)))
+    return head - np.log1p(-u)

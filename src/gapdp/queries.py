@@ -66,9 +66,10 @@ class TransactionDB:
     def __post_init__(self):
         if not self.transactions:
             raise ValueError("TransactionDB needs at least one transaction")
-        object.__setattr__(
-            self, "item_universe", max(max(t) for t in self.transactions if t)
-        )
+        largest = max((max(t) for t in self.transactions if t), default=None)
+        if largest is None:
+            raise ValueError("TransactionDB needs at least one nonempty transaction")
+        object.__setattr__(self, "item_universe", largest)
 
     def __len__(self) -> int:
         return len(self.transactions)

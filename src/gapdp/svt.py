@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from scipy.optimize import brentq, minimize_scalar
+import numpy as np
 
 from .noise import Exponential, Geometric, Laplace, NoiseKind, RandomSource, sample, variance_of
 from .queries import QuerySet
@@ -39,6 +39,7 @@ __all__ = [
     "canonical_family",
     "gap_svt",
     "lower_confidence_t",
+    "svt_batch",
     "tail_probability",
     "theta_optimal",
 ]
@@ -259,6 +260,73 @@ def adaptive_svt(q: QuerySet, cfg: SvtConfig, src: RandomSource) -> SvtResult:
     return SvtResult(tuple(items), BudgetLedger(eps, consumed))
 
 
+def svt_batch(q: QuerySet, cfg: SvtConfig):
+    """Batch kernel of :func:`gap_svt` (or :func:`adaptive_svt` when
+    ``cfg.adaptive``) on ``q``, for the audit: returns
+    ``(draws, kernel, True)``, the scan being able to stop early.
+
+    ``kernel(U)`` takes a (trials, draws) uniform matrix laid out as the
+    scalar scan reads it (threshold, then per query its top draw if adaptive
+    and its middle draw) and returns every trial's audit output at once:
+    ``codes`` (int64, one tag per scanned query: 0 below, 1 middle, 2 top;
+    -1 past the stop), ``gaps`` (float64, the released gaps in scan order,
+    NaN-padded) and ``used`` (int64, the draws the trial read).  A trial
+    stops where the scalar scan stops and the rest of its row goes unread.
+    The budget sum is accumulated in the scalar scan's order, so both stop
+    after the same query.
+    """
+    _require_integer_queries(q, cfg)
+    eps, eps1, eps2 = cfg.epsilon, cfg.eps1, cfg.eps2
+    thr_kind, b0 = _threshold_noise(cfg)
+    mid_kind, b1 = _query_noise(cfg, eps1)
+    if cfg.adaptive:
+        top_kind, b2 = _query_noise(cfg, eps2)
+        margin = 2.0 * math.sqrt(variance_of(top_kind))
+    per_query = 2 if cfg.adaptive else 1
+    n = len(q.values)
+    values = np.array(q.values)[:, None]
+
+    def kernel(U: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        m = len(U)
+        rows = U.T  # one row per draw position; contiguous for stream windows
+        noisy_threshold = cfg.threshold + thr_kind.inverse_cdf_array(rows[0]) - b0
+        noisy_mids = values + mid_kind.inverse_cdf_array(rows[per_query::per_query]) - b1
+        if cfg.adaptive:
+            noisy_tops = values + top_kind.inverse_cdf_array(rows[1::2]) - b2
+        consumed = np.full(m, cfg.eps0)
+        live = np.ones(m, dtype=bool)
+        scanned = np.zeros(m, dtype=np.int64)
+        released = np.zeros(m, dtype=np.int64)
+        codes = np.full((m, n), -1, dtype=np.int64)
+        gaps = np.full((m, n), np.nan)
+        for i, noisy_mid in enumerate(noisy_mids):
+            if cfg.adaptive:
+                noisy_top = noisy_tops[i]
+                top = noisy_top - noisy_threshold >= margin
+                mid = ~top & (noisy_mid - noisy_threshold >= 0.0)
+                gap = np.where(top, noisy_top, noisy_mid) - noisy_threshold
+                cost = np.where(top, eps2, eps1)
+                tag = 2 * top + mid
+            else:
+                mid = noisy_mid >= noisy_threshold
+                gap = noisy_mid - noisy_threshold
+                cost = eps1
+                tag = mid.astype(np.int64)
+            above = (tag > 0) & live
+            scanned += live
+            codes[:, i] = np.where(live, tag, -1)
+            hit = np.flatnonzero(above)
+            gaps[hit, released[hit]] = gap[hit]
+            released += above
+            consumed = np.where(above, consumed + cost, consumed)
+            live &= ~(consumed > eps - eps1)
+            if not live.any():
+                break
+        return codes, gaps, 1 + per_query * scanned
+
+    return 1 + per_query * n, kernel, True
+
+
 # Cube coefficient m in theta = 1/(1 + (m k^2)^(1/3)), per (branch, monotonic).
 _THETA_CUBE = {
     ("top", False): 16.0,
@@ -300,6 +368,8 @@ def theta_optimal(
         return 1.0 / (1.0 + (m * k * k) ** (1.0 / 3.0))
     if eps is None:
         raise ValueError("geometric noise needs eps to tune theta")
+    from scipy.optimize import minimize_scalar  # costs ~0.5 s; only this branch needs it
+
     c = math.sqrt(m)
 
     def gap_variance(theta: float) -> float:
@@ -340,6 +410,8 @@ def lower_confidence_t(level: float, eps0: float, eps_star: float) -> float:
     """
     if not 0.5 < level < 1.0:
         raise ValueError("confidence level must be in (0.5, 1)")
+    from scipy.optimize import brentq  # deferred like minimize_scalar above
+
     hi = 1.0
     while tail_probability(hi, eps0, eps_star) < level:
         hi *= 2.0

@@ -12,10 +12,12 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
-from .noise import Exponential, Laplace, RandomSource, sample
+import numpy as np
+
+from .noise import Exponential, Laplace, RandomSource, ReplaySource, sample
 from .queries import QuerySet
 
-__all__ = ["TopKResult", "gap_topk", "pairwise_gap"]
+__all__ = ["TopKResult", "gap_topk", "gap_topk_batch", "pairwise_gap"]
 
 
 @dataclass(frozen=True)
@@ -59,6 +61,8 @@ def gap_topk(
         raise ValueError(f"need at least k+1 = {k + 1} queries, got {n}")
     if not eps > 0.0:
         raise ValueError("eps must be > 0")
+    if src is None:
+        raise ValueError("gap_topk needs a RandomSource, e.g. src=SeededSource(seed)")
     family = noise.strip().lower()
     if family in ("lap", "laplace"):
         kind = Laplace(2.0 * k / eps)
@@ -77,6 +81,35 @@ def gap_topk(
     )
     charged = eps / 2.0 if q.monotonic else eps
     return TopKResult(pairs, charged)
+
+
+def ranked(noisy: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per row, the indices and values of the ``count`` largest entries in
+    descending order, ties to the lowest index (as ``heapq.nlargest`` over
+    ``(value, -index)`` orders them)."""
+    order = np.argsort(-noisy, axis=1, kind="stable")[:, :count]
+    return order, np.take_along_axis(noisy, order, axis=1)
+
+
+def gap_topk_batch(q: QuerySet, k: int, eps: float, noise: str = "laplace"):
+    """Batch kernel of :func:`gap_topk` on ``q``, for the audit.
+
+    Returns ``(n, kernel, False)``; ``kernel(U)`` maps a (trials, n) uniform
+    matrix to every trial's selected indices (int64, trials x k) and gaps
+    (float64, trials x k).
+    """
+    n = len(q.values)
+    # One scalar run on a replayed row rejects what the scalar function rejects.
+    gap_topk(q, k, eps, noise, ReplaySource([0.5] * n))
+    family = Laplace if noise.strip().lower() in ("lap", "laplace") else Exponential
+    kind = family(2.0 * k / eps)
+    values = np.array(q.values)
+
+    def kernel(U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        order, top = ranked(values + kind.inverse_cdf_array(U), k + 1)
+        return order[:, :k], top[:, :k] - top[:, 1:]
+
+    return n, kernel, False
 
 
 def pairwise_gap(r: TopKResult, a: int, b: int) -> float:

@@ -1,8 +1,9 @@
 """Acceptance gate: one test per criterion, each printing a PASS line.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
-lines; the full suite finishes in a few minutes (the million-trial privacy
-audit dominates).
+lines.  The million-trial privacy audit (criterion 07) runs on the numpy
+batch kernels, which ``tests/test_audit_kernels.py`` pins to the scalar
+mechanisms, and takes seconds rather than minutes.
 """
 
 import math

@@ -1,0 +1,209 @@
+"""The audit's batch kernels against the scalar mechanisms they stand for.
+
+An audit on the batch path certifies the kernel, not the scalar function,
+so these tests pin each kernel to its scalar mechanism row by row: for a
+uniform matrix U, the kernel's row r must equal the scalar mechanism run on
+``ReplaySource(U[r])``.  Discrete outputs must match exactly; gaps to a
+relative 1e-12, the room numpy's and ``math``'s ``log1p``/``log``/``exp``
+leave between them.
+
+Run alone with ``python -X dev -W error::RuntimeWarning -m pytest
+tests/test_audit_kernels.py``; the module also turns RuntimeWarnings into
+errors itself, so no overflow or divide warning can leak from a kernel.
+"""
+
+import itertools
+import math
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+
+from gapdp import audit
+from gapdp.audit import AuditConfig, as_audit_output, estimate_epsilon
+from gapdp.harness import standard_audit_cases
+from gapdp.noise import (
+    Exponential,
+    Geometric,
+    Gumbel,
+    Laplace,
+    ReplaySource,
+    SeededSource,
+    sample,
+    sample_logistic_nonneg,
+    sample_logistic_nonneg_array,
+)
+from gapdp.queries import QuerySet, adjacent_counts
+
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
+CASES = {case.name: case for case in standard_audit_cases(1.0)}
+TOP = 1.0 - 2.0**-53  # the largest double below 1
+
+
+def scalar_only(mech):
+    """The same mechanism without its kernel: the auditor's scalar path."""
+    return lambda qs, src: mech(qs, src)
+
+
+def inputs(case):
+    # The case's adjacent pair, and a flat input on which equal draws tie.
+    return case.d, case.d_prime, QuerySet((1.0,) * len(case.d.values))
+
+
+def hand_picked(draws):
+    """Every row over a small grid of draws: u = 0.5 (zero Laplace noise),
+    repeated values (ties) and the largest double below 1."""
+    grid = (0.25, 0.5, 0.75, TOP)
+    rows = itertools.islice(itertools.product(grid, repeat=draws), 20_000)
+    return np.array(list(rows), dtype=np.float64)
+
+
+def assert_rows_match(mech, data, U):
+    draws, kernel, early_stop = mech.batch(data)
+    assert U.shape[1] == draws
+    codes, gaps, *used = kernel(U)
+    assert codes.dtype == np.int64 and gaps.dtype == np.float64
+    assert len(used) == early_stop
+    for r, row in enumerate(U):
+        source = ReplaySource(row)
+        discrete, reals = as_audit_output(mech(data, source))
+        assert (used[0][r] if early_stop else draws) == draws - source.remaining, (r, row)
+        got_codes = tuple(int(c) for c in codes[r] if c != -1)
+        got_gaps = [float(g) for g in gaps[r] if not math.isnan(g)]
+        assert got_codes == discrete, (r, row)
+        assert len(got_gaps) == len(reals), (r, row)
+        for got, want in zip(got_gaps, reals):
+            assert math.isclose(got, want, rel_tol=1e-12, abs_tol=1e-12), (r, row, got, want)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_kernel_matches_scalar_mechanism(name):
+    case = CASES[name]
+    rng = np.random.default_rng(sorted(CASES).index(name))
+    for data in inputs(case):
+        draws = case.mech.batch(data)[0]
+        assert_rows_match(case.mech, data, rng.random((5000, draws)))
+        assert_rows_match(case.mech, data, hand_picked(draws))
+
+
+def test_every_standard_case_carries_a_kernel():
+    for case in standard_audit_cases(0.5):
+        draws, kernel, early_stop = case.mech.batch(case.d)
+        assert draws >= 1 and callable(kernel), case.name
+        assert early_stop == ("svt" in case.name), case.name
+
+
+def test_wrapper_is_audited_not_the_kernel_behind_it():
+    # A wrapper (a tracer, say) keeps the scalar path even when it exposes
+    # the wrapped mechanism, which carries a kernel, as __wrapped__.
+    case = CASES["gap_topk_laplace"]
+    calls = []
+
+    def wrapper(qs, src):
+        calls.append(1)
+        return case.mech(qs, src)
+
+    wrapper.__wrapped__ = case.mech
+    estimate_epsilon(wrapper, case.d, case.d_prime,
+                     AuditConfig(trials=10_000, bin_width=0.5, min_count=100))
+    assert len(calls) == 20_000
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_batch_reports_equal_scalar_reports(name):
+    # The batch path reads the stream as the scalar loop does, early-stopping
+    # scans included, so the same seed gives the same audit.
+    case = CASES[name]
+    cfg = AuditConfig(trials=20_000, bin_width=case.bin_width, min_count=200, seed=3)
+    batch = estimate_epsilon(case.mech, case.d, case.d_prime, cfg, case.eps_claimed, name)
+    scalar = estimate_epsilon(scalar_only(case.mech), case.d, case.d_prime, cfg,
+                              case.eps_claimed, name)
+    assert batch == scalar
+
+
+@pytest.mark.parametrize("name", ["hybrid_estimates", "adaptive_svt_laplace"])
+def test_chunk_boundary_keeps_the_stream(name):
+    case = CASES[name]
+    cfg = SimpleNamespace(trials=2 * audit._CHUNK + 1, bin_width=case.bin_width)
+    batch_src, scalar_src = SeededSource(21), SeededSource(21)
+    batch = audit._histogram(case.mech, case.d, batch_src, cfg)
+    scalar = audit._histogram(scalar_only(case.mech), case.d, scalar_src, cfg)
+    assert batch == scalar
+    if name == "hybrid_estimates":  # a fixed-draw kernel reads no further
+        assert batch_src.uniform() == scalar_src.uniform()
+
+
+def test_uniform_matrix_continues_the_scalar_stream():
+    a, b = SeededSource(5), SeededSource(5)
+    drawn = [a.uniform() for _ in range(3)]
+    drawn += a.uniform_matrix(50, 7).ravel().tolist()
+    drawn += [a.uniform() for _ in range(3)]
+    drawn += a.uniform_matrix(1, 9000).ravel().tolist()
+    assert drawn == [b.uniform() for _ in range(len(drawn))]
+    replay = ReplaySource(drawn[:14])
+    assert replay.uniform_matrix(2, 7).ravel().tolist() == drawn[:14]
+
+
+def one_trial(mech, data, row, width):
+    cfg = SimpleNamespace(trials=1, bin_width=width)
+    try:
+        return audit._histogram(mech, data, ReplaySource(row), cfg)
+    except (OverflowError, ValueError) as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_zero_draws_raise_where_the_scalar_path_raises(name):
+    # A draw of exactly 0 maps Laplace and Gumbel noise to -inf; the scalar
+    # path then raises in math.floor wherever an infinite gap (one zero) or
+    # a NaN gap (two zeros) is released, and counts the trial otherwise.
+    case = CASES[name]
+    rng = np.random.default_rng(99)
+    for data in inputs(case):
+        draws = case.mech.batch(data)[0]
+        for pair in itertools.combinations_with_replacement(range(draws), 2):
+            for row in (np.full(draws, 0.5), rng.random(draws)):
+                row[list(pair)] = 0.0
+                want = one_trial(scalar_only(case.mech), data, row, case.bin_width)
+                assert one_trial(case.mech, data, row, case.bin_width) == want, (pair, row)
+
+
+def test_array_inverse_cdfs_match_scalar_ones():
+    u = np.concatenate([[0.0, 0.5, TOP, 2.0**-53], np.random.default_rng(4).random(2000)])
+    for kind in (Laplace(0.7), Exponential(1.3), Geometric(0.4), Gumbel(0.2)):
+        got = kind.inverse_cdf_array(u)
+        for g, v in zip(got, u):
+            want = kind.inverse_cdf(float(v))
+            assert g == want or math.isclose(g, want, rel_tol=1e-12, abs_tol=1e-12), (kind, v)
+    loc = np.linspace(-800.0, 800.0, len(u))
+    got = sample_logistic_nonneg_array(loc, u)
+    for g, v, x in zip(got, u, loc):
+        want = sample_logistic_nonneg(float(x), ReplaySource([v]))
+        assert math.isclose(g, want, rel_tol=1e-12, abs_tol=1e-12), (x, v)
+
+
+def test_broken_kernel_is_flagged():
+    # Half the Laplace noise a 1-DP counting query needs, in scalar and
+    # kernel form alike: the audit must see the kernel's 2-DP behaviour.
+    eps = 1.0
+    kind = Laplace(0.5 / eps)
+
+    def half_noise(qs, src):
+        return (), (qs.values[0] + sample(kind, src),)
+
+    def batch(qs):
+        def kernel(U):
+            return (np.empty((len(U), 0), dtype=np.int64),
+                    qs.values[0] + kind.inverse_cdf_array(U))
+        return 1, kernel, False
+
+    half_noise.batch = batch
+    d = QuerySet((0.0,))
+    report = estimate_epsilon(
+        half_noise, d, adjacent_counts(d, {0}, +1),
+        AuditConfig(trials=50_000, bin_width=0.5, min_count=1000, seed=1),
+        eps_claimed=eps,
+    )
+    assert report.flagged
+    assert report.eps_hat >= 1.5 * eps

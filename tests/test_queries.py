@@ -61,6 +61,11 @@ def test_item_counts_dense_indexing():
     assert qs.monotonic
 
 
+def test_all_empty_transactions_is_a_clear_error():
+    with pytest.raises(ValueError, match="nonempty transaction"):
+        TransactionDB((frozenset(),))
+
+
 def test_item_counts_single_transaction():
     qs = item_counts(TransactionDB((frozenset({7}),)))
     assert qs.values == (0.0,) * 7 + (1.0,)

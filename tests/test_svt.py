@@ -1,4 +1,7 @@
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -325,3 +328,16 @@ def test_budget_ledger_validation():
     with pytest.raises(ValueError):
         BudgetLedger(1.0, -0.1)
     assert BudgetLedger(2.0, 0.5).remaining == pytest.approx(1.5)
+
+
+def test_import_does_not_load_scipy():
+    # scipy.optimize costs about half a second and ~50 MB at import; only the
+    # geometric theta search and lower_confidence_t need it.
+    import gapdp
+
+    code = "import sys, gapdp; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        cwd=Path(gapdp.__file__).resolve().parents[1],
+    )
+    assert out.stdout.strip() == "[]"

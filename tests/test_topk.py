@@ -28,6 +28,11 @@ def test_requires_runner_up():
         gap_topk(QuerySet((1.0, 2.0)), 2, 1.0, "laplace", zero_source(2))
 
 
+def test_missing_source_is_a_clear_error():
+    with pytest.raises(ValueError, match="RandomSource"):
+        gap_topk(QuerySet((1.0, 2.0, 3.0)), 1, 1.0)
+
+
 def test_tie_break_prefers_lowest_index():
     result = gap_topk(QuerySet((7.0, 7.0, 7.0)), 2, 1.0, "laplace", zero_source(3))
     assert result.indices == (0, 1)

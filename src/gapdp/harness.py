@@ -48,7 +48,7 @@ from .hybrid import (
     hybrid_identity,
     hybrid_identity_batch,
 )
-from .noise import Laplace, RandomSource, SeededSource, sample
+from .noise import FamilyNoise, Laplace, RandomSource, SeededSource, canonical_family, sample
 from .postprocess import (
     BlueInput,
     VarianceModel,
@@ -58,7 +58,7 @@ from .postprocess import (
     svt_variance_model,
 )
 from .queries import QuerySet, adjacent_counts, item_counts, load_transactions
-from .svt import SvtConfig, adaptive_svt, canonical_family, gap_svt, svt_batch, theta_optimal
+from .svt import SvtConfig, adaptive_svt, gap_svt, svt_batch, theta_optimal
 from .topk import gap_topk, gap_topk_batch
 
 __all__ = [
@@ -194,8 +194,7 @@ def _trial_source(seed: int, trial: int) -> SeededSource:
 def _default_theta(cfg: ExperimentConfig, k: int, monotonic: bool, eps: float) -> float:
     if cfg.theta is not None:
         return cfg.theta
-    return theta_optimal(k, "middle", monotonic, cfg.noise,
-                         eps=eps if cfg.noise == "geometric" else None)
+    return theta_optimal(k, "middle", monotonic, cfg.noise, eps=eps)
 
 
 def _mean_stderr(samples: Sequence[float]) -> tuple[float, float]:
@@ -290,25 +289,24 @@ def _mse_reduction_svt(cfg: ExperimentConfig, qs: QuerySet) -> list[dict]:
     return rows
 
 
-def _topk_lambda(noise: str, monotonic: bool) -> float:
-    if noise == "laplace":
-        return 1.0 if monotonic else 4.0
-    if noise == "exponential":
-        return 0.5 if monotonic else 2.0
-    raise ConfigError("top-k supports laplace or exponential noise only")
-
-
 def _mse_reduction_topk(cfg: ExperimentConfig, qs: QuerySet) -> list[dict]:
     rows = []
     for eps in cfg.eps:
         for k in cfg.k:
             if k + 1 > len(qs):
                 raise ConfigError(f"top-k needs at least k+1 = {k + 1} queries")
-            lam = _topk_lambda(cfg.noise, qs.monotonic)
+            if cfg.noise == "geometric":
+                raise ConfigError("top-k supports laplace or exponential noise only")
             # Selection always costs eps/2: monotonic lists get the full-eps
             # noise scale at half the charge.
             eps_param = eps if qs.monotonic else eps / 2.0
-            meas = Laplace(2.0 * k / eps)
+            measurement = FamilyNoise("laplace", eps, 2.0 * k)
+            # lam = var(selection noise) / var(measurement noise).  Selection
+            # at (eps/2, 2k) is the noise at (eps, 4k); keeping both at eps
+            # makes lam exactly 1, 4, 1/2 or 2.
+            selection = FamilyNoise(cfg.noise, eps, 2.0 * k if qs.monotonic else 4.0 * k)
+            lam = selection.variance / measurement.variance
+            meas = measurement.kind
             acc = _RatioAccumulator(cfg.trials)
             for t in range(cfg.trials):
                 src = _trial_source(cfg.seed, t)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .noise import Exponential, RandomSource, ReplaySource, sample
+from .noise import Exponential, FamilyNoise, RandomSource, ReplaySource, sample
 from .queries import QuerySet
 from .topk import ranked
 
@@ -152,13 +152,11 @@ def hybrid_estimates(
         raise ValueError("eps must be > 0")
     if not 0.0 < theta < 1.0:
         raise ValueError("theta must be in (0, 1)")
-    eps0 = theta * eps
-    eps1 = (1.0 - theta) * eps / k
-    b0 = 1.0 / eps0
-    b1 = 2.0 / eps1
+    thr = FamilyNoise("exponential", theta * eps)
+    query = FamilyNoise("exponential", (1.0 - theta) * eps / k, 2.0)
 
-    noisy_threshold = threshold + sample(Exponential(1.0 / eps0), src) - b0
-    query_kind = Exponential(2.0 / eps1)
+    noisy_threshold = threshold + sample(thr.kind, src) - thr.centre
+    query_kind, b1 = query.kind, query.centre
     noisy = [value + sample(query_kind, src) - b1 for value in q.values]
     top = heapq.nlargest(k, ((noisy[i], -i) for i in range(n)))
     pairs: list[tuple[int, float]] = []
@@ -182,12 +180,10 @@ def hybrid_estimates_batch(
     n = len(q.values)
     # One scalar run on a replayed row rejects what the scalar function rejects.
     hybrid_estimates(q, threshold, k, eps, theta, ReplaySource([0.5] * (n + 1)))
-    eps0 = theta * eps
-    eps1 = (1.0 - theta) * eps / k
-    b0 = 1.0 / eps0
-    b1 = 2.0 / eps1
-    threshold_kind = Exponential(1.0 / eps0)
-    query_kind = Exponential(2.0 / eps1)
+    thr = FamilyNoise("exponential", theta * eps)
+    query = FamilyNoise("exponential", (1.0 - theta) * eps / k, 2.0)
+    threshold_kind, b0 = thr.kind, thr.centre
+    query_kind, b1 = query.kind, query.centre
     values = np.array(q.values)
 
     def kernel(U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

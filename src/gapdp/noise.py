@@ -25,6 +25,9 @@ Distribution conventions:
   above is authoritative here and :func:`mean_of` returns (1-p)/p.)
 * ``Gumbel(loc)``         -- standard Gumbel shifted by ``loc``, variance pi**2/6.
 * ``Logistic(loc)``       -- standard logistic shifted by ``loc``, variance pi**2/3.
+
+:class:`FamilyNoise` maps a family name ("laplace", "exponential" or
+"geometric"), a budget and a sensitivity to the noise every mechanism draws.
 """
 
 from __future__ import annotations
@@ -37,6 +40,8 @@ import numpy as np
 
 __all__ = [
     "Exponential",
+    "FAMILIES",
+    "FamilyNoise",
     "Geometric",
     "Gumbel",
     "Laplace",
@@ -46,6 +51,7 @@ __all__ = [
     "ReplayExhaustedError",
     "ReplaySource",
     "SeededSource",
+    "canonical_family",
     "mean_of",
     "sample",
     "sample_logistic_nonneg",
@@ -265,6 +271,65 @@ class Logistic:
 
 
 NoiseKind = Union[Laplace, Exponential, Geometric, Gumbel, Logistic]
+
+
+FAMILIES = ("laplace", "exponential", "geometric")
+_ALIASES = {"lap": "laplace", "exp": "exponential", "geo": "geometric"}
+
+
+def canonical_family(name: str) -> str:
+    """Normalize a noise-family name ('lap'/'exp'/'geo' aliases accepted)."""
+    key = name.strip().lower()
+    key = _ALIASES.get(key, key)
+    if key not in FAMILIES:
+        raise ValueError(f"unknown noise family {name!r}; expected one of {FAMILIES}")
+    return key
+
+
+@dataclass(frozen=True)
+class FamilyNoise:
+    """A noise family at budget ``eps`` for sensitivity ``spread``: Laplace
+    and exponential at scale ``spread/eps``, geometric at rate ``eps/spread``.
+
+    ``centre`` is subtracted from every draw.  For geometric noise it is
+    ``1/p``, 1 above the mean ``(1-p)/p``; the offset cancels in every gap.
+    ``variance`` stays finite where ``p`` rounds to 1 and ``kind`` cannot be
+    built.  Outputs depend on these exact float expressions: ``kind.variance``
+    or a rate converted to a scale differs by a few ulps.
+    """
+
+    family: str
+    eps: float
+    spread: float = 1.0
+
+    def __post_init__(self):
+        object.__setattr__(self, "family", canonical_family(self.family))
+
+    @property
+    def kind(self) -> NoiseKind:
+        if self.family == "laplace":
+            return Laplace(self.spread / self.eps)
+        if self.family == "exponential":
+            return Exponential(self.spread / self.eps)
+        return Geometric(1.0 - math.exp(-self.eps / self.spread))
+
+    @property
+    def centre(self) -> float:
+        if self.family == "laplace":
+            return 0.0
+        if self.family == "exponential":
+            return self.spread / self.eps
+        return 1.0 / (1.0 - math.exp(-self.eps / self.spread))
+
+    @property
+    def variance(self) -> float:
+        if self.family == "laplace":
+            return 2.0 * self.spread**2 / self.eps**2
+        if self.family == "exponential":
+            return self.spread**2 / self.eps**2
+        rate = self.eps / self.spread
+        d = math.expm1(rate)
+        return math.exp(rate) / (d * d)
 
 
 def sample(kind: NoiseKind, src: RandomSource) -> float:

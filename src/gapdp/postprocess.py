@@ -13,11 +13,10 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .svt import canonical_family
+from .noise import FamilyNoise
 
 __all__ = [
     "BlueInput",
@@ -142,20 +141,9 @@ def svt_variance_model(
         raise ValueError("eps must be > 0")
     if not 0.0 < theta < 1.0:
         raise ValueError("theta must be in (0, 1)")
-    family = canonical_family(noise)
     half = eps / 2.0
     eps0 = theta * half
     eps1 = (1.0 - theta) * half / k
-    numerator = 1.0 if monotonic else 2.0
-    if family == "laplace":
-        var_gap = 2.0 / eps0**2 + 2.0 * numerator**2 / eps1**2
-    elif family == "exponential":
-        var_gap = 1.0 / eps0**2 + numerator**2 / eps1**2
-    else:
-        var_gap = _geo_var(eps0) + _geo_var(eps1 / numerator)
+    spread = 1.0 if monotonic else 2.0
+    var_gap = FamilyNoise(noise, eps0).variance + FamilyNoise(noise, eps1, spread).variance
     return VarianceModel(var_alpha=8.0 * k * k / (eps * eps), var_gap=var_gap)
-
-
-def _geo_var(rate: float) -> float:
-    d = math.expm1(rate)
-    return math.exp(rate) / (d * d)

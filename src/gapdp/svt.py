@@ -27,7 +27,7 @@ from typing import Optional
 
 import numpy as np
 
-from .noise import Exponential, Geometric, Laplace, NoiseKind, RandomSource, sample, variance_of
+from .noise import FamilyNoise, RandomSource, canonical_family, sample, variance_of
 from .queries import QuerySet
 
 __all__ = [
@@ -36,7 +36,6 @@ __all__ = [
     "SvtItem",
     "SvtResult",
     "adaptive_svt",
-    "canonical_family",
     "gap_svt",
     "lower_confidence_t",
     "svt_batch",
@@ -44,20 +43,8 @@ __all__ = [
     "theta_optimal",
 ]
 
-_FAMILIES = ("laplace", "exponential", "geometric")
-_ALIASES = {"lap": "laplace", "exp": "exponential", "geo": "geometric"}
-
 # Float-sum fuzz allowed when checking consumed <= allocated.
 _BUDGET_TOL = 1e-9
-
-
-def canonical_family(name: str) -> str:
-    """Normalize a noise-family name ('lap'/'exp'/'geo' aliases accepted)."""
-    key = name.strip().lower()
-    key = _ALIASES.get(key, key)
-    if key not in _FAMILIES:
-        raise ValueError(f"unknown noise family {name!r}; expected one of {_FAMILIES}")
-    return key
 
 
 @dataclass(frozen=True)
@@ -144,42 +131,12 @@ class SvtResult:
         return tuple(item for item in self.items if item.above)
 
 
-def _geometric_kind(rate: float) -> Geometric:
-    return Geometric(1.0 - math.exp(-rate))
-
-
-def _geometric_debias(rate: float) -> float:
-    # 1/p for p = 1 - e^{-rate}: the debias constant used with one-sided
-    # integer noise.  It sits exactly 1 above the sampler mean (1-p)/p; the
-    # common offset cancels between noisy query and noisy threshold, so every
-    # reported gap is centered either way.
-    return 1.0 / (1.0 - math.exp(-rate))
-
-
-def _threshold_noise(cfg: SvtConfig) -> tuple[NoiseKind, float]:
-    """Noise kind and debias constant for the threshold."""
-    if cfg.noise == "laplace":
-        return Laplace(1.0 / cfg.eps0), 0.0
-    if cfg.noise == "exponential":
-        return Exponential(1.0 / cfg.eps0), 1.0 / cfg.eps0
-    return _geometric_kind(cfg.eps0), _geometric_debias(cfg.eps0)
-
-
-def _query_noise(cfg: SvtConfig, eps_branch: float) -> tuple[NoiseKind, float]:
-    """Noise kind and debias constant for a query at branch budget ``eps_branch``.
-
-    Monotonic query lists support half the noise scale at the same privacy
-    cost, so the scale numerator drops from 2 to 1 (equivalently the
-    geometric rate doubles).
-    """
-    numerator = 1.0 if cfg.monotonic else 2.0
-    if cfg.noise == "laplace":
-        return Laplace(numerator / eps_branch), 0.0
-    if cfg.noise == "exponential":
-        scale = numerator / eps_branch
-        return Exponential(scale), scale
-    rate = eps_branch / numerator
-    return _geometric_kind(rate), _geometric_debias(rate)
+def _noises(cfg: SvtConfig) -> tuple[FamilyNoise, FamilyNoise, FamilyNoise]:
+    """Threshold noise at eps0 and query noise at eps1 and eps2.  Monotonic
+    lists support half the query noise scale at the same privacy cost."""
+    spread = 1.0 if cfg.monotonic else 2.0
+    return (FamilyNoise(cfg.noise, cfg.eps0), FamilyNoise(cfg.noise, cfg.eps1, spread),
+            FamilyNoise(cfg.noise, cfg.eps2, spread))
 
 
 def _require_integer_queries(q: QuerySet, cfg: SvtConfig) -> None:
@@ -192,6 +149,41 @@ def _require_integer_queries(q: QuerySet, cfg: SvtConfig) -> None:
             )
 
 
+def _scan(q: QuerySet, cfg: SvtConfig, src: RandomSource) -> SvtResult:
+    """The scan of :func:`gap_svt`, or of :func:`adaptive_svt` when
+    ``cfg.adaptive``.  Each keeps its own middle-branch comparison: the two
+    differ on infinite draws, which zero-noise traces replay."""
+    _require_integer_queries(q, cfg)
+    adaptive = cfg.adaptive
+    eps, eps1, eps2 = cfg.epsilon, cfg.eps1, cfg.eps2
+    thr, mid, top = _noises(cfg)
+    thr_kind = thr.kind
+    if adaptive:
+        top_kind, b2 = top.kind, top.centre
+        margin = 2.0 * math.sqrt(variance_of(top_kind))
+    mid_kind, b1 = mid.kind, mid.centre
+
+    noisy_threshold = cfg.threshold + sample(thr_kind, src) - thr.centre
+    consumed = cfg.eps0
+    items: list[SvtItem] = []
+    for i, value in enumerate(q.values):
+        if adaptive:
+            noisy_top = value + sample(top_kind, src) - b2
+        noisy_mid = value + sample(mid_kind, src) - b1
+        if adaptive and noisy_top - noisy_threshold >= margin:
+            items.append(SvtItem(i, True, noisy_top - noisy_threshold, "top", eps2))
+            consumed += eps2
+        elif (noisy_mid - noisy_threshold >= 0.0 if adaptive
+              else noisy_mid >= noisy_threshold):
+            items.append(SvtItem(i, True, noisy_mid - noisy_threshold, "middle", eps1))
+            consumed += eps1
+        else:
+            items.append(SvtItem(i, False, 0.0, None, 0.0))
+        if consumed > eps - eps1:
+            break
+    return SvtResult(tuple(items), BudgetLedger(eps, consumed))
+
+
 def gap_svt(q: QuerySet, cfg: SvtConfig, src: RandomSource) -> SvtResult:
     """Above-threshold reports with their noisy gaps, single branch.
 
@@ -202,24 +194,7 @@ def gap_svt(q: QuerySet, cfg: SvtConfig, src: RandomSource) -> SvtResult:
     """
     if cfg.adaptive:
         raise ValueError("gap_svt requires a config with adaptive=False")
-    _require_integer_queries(q, cfg)
-    eps, eps1 = cfg.epsilon, cfg.eps1
-    thr_kind, b0 = _threshold_noise(cfg)
-    mid_kind, b1 = _query_noise(cfg, eps1)
-
-    noisy_threshold = cfg.threshold + sample(thr_kind, src) - b0
-    consumed = cfg.eps0
-    items: list[SvtItem] = []
-    for i, value in enumerate(q.values):
-        noisy_q = value + sample(mid_kind, src) - b1
-        if noisy_q >= noisy_threshold:
-            items.append(SvtItem(i, True, noisy_q - noisy_threshold, "middle", eps1))
-            consumed += eps1
-        else:
-            items.append(SvtItem(i, False, 0.0, None, 0.0))
-        if consumed > eps - eps1:
-            break
-    return SvtResult(tuple(items), BudgetLedger(eps, consumed))
+    return _scan(q, cfg, src)
 
 
 def adaptive_svt(q: QuerySet, cfg: SvtConfig, src: RandomSource) -> SvtResult:
@@ -234,30 +209,7 @@ def adaptive_svt(q: QuerySet, cfg: SvtConfig, src: RandomSource) -> SvtResult:
     """
     if not cfg.adaptive:
         raise ValueError("adaptive_svt requires a config with adaptive=True")
-    _require_integer_queries(q, cfg)
-    eps, eps1, eps2 = cfg.epsilon, cfg.eps1, cfg.eps2
-    thr_kind, b0 = _threshold_noise(cfg)
-    top_kind, b2 = _query_noise(cfg, eps2)
-    mid_kind, b1 = _query_noise(cfg, eps1)
-    sigma = math.sqrt(variance_of(top_kind))
-
-    noisy_threshold = cfg.threshold + sample(thr_kind, src) - b0
-    consumed = cfg.eps0
-    items: list[SvtItem] = []
-    for i, value in enumerate(q.values):
-        noisy_top = value + sample(top_kind, src) - b2
-        noisy_mid = value + sample(mid_kind, src) - b1
-        if noisy_top - noisy_threshold >= 2.0 * sigma:
-            items.append(SvtItem(i, True, noisy_top - noisy_threshold, "top", eps2))
-            consumed += eps2
-        elif noisy_mid - noisy_threshold >= 0.0:
-            items.append(SvtItem(i, True, noisy_mid - noisy_threshold, "middle", eps1))
-            consumed += eps1
-        else:
-            items.append(SvtItem(i, False, 0.0, None, 0.0))
-        if consumed > eps - eps1:
-            break
-    return SvtResult(tuple(items), BudgetLedger(eps, consumed))
+    return _scan(q, cfg, src)
 
 
 def svt_batch(q: QuerySet, cfg: SvtConfig):
@@ -277,10 +229,11 @@ def svt_batch(q: QuerySet, cfg: SvtConfig):
     """
     _require_integer_queries(q, cfg)
     eps, eps1, eps2 = cfg.epsilon, cfg.eps1, cfg.eps2
-    thr_kind, b0 = _threshold_noise(cfg)
-    mid_kind, b1 = _query_noise(cfg, eps1)
+    thr, mid, top = _noises(cfg)
+    thr_kind, b0 = thr.kind, thr.centre
+    mid_kind, b1 = mid.kind, mid.centre
     if cfg.adaptive:
-        top_kind, b2 = _query_noise(cfg, eps2)
+        top_kind, b2 = top.kind, top.centre
         margin = 2.0 * math.sqrt(variance_of(top_kind))
     per_query = 2 if cfg.adaptive else 1
     n = len(q.values)
@@ -336,12 +289,6 @@ _THETA_CUBE = {
 }
 
 
-def _geometric_gap_variance(rate: float) -> float:
-    # Variance of Geometric(1 - e^{-rate}): e^rate / (e^rate - 1)^2.
-    d = math.expm1(rate)
-    return math.exp(rate) / (d * d)
-
-
 def theta_optimal(
     k: int,
     branch: str = "middle",
@@ -373,9 +320,8 @@ def theta_optimal(
     c = math.sqrt(m)
 
     def gap_variance(theta: float) -> float:
-        r0 = theta * eps
-        r1 = (1.0 - theta) * eps / (c * k)
-        return _geometric_gap_variance(r0) + _geometric_gap_variance(r1)
+        return (FamilyNoise("geometric", theta * eps).variance
+                + FamilyNoise("geometric", (1.0 - theta) * eps, c * k).variance)
 
     res = minimize_scalar(
         gap_variance, bounds=(1e-6, 1.0 - 1e-6), method="bounded",

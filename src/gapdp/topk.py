@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .noise import Exponential, Laplace, RandomSource, ReplaySource, sample
+from .noise import FamilyNoise, NoiseKind, RandomSource, ReplaySource, sample
 from .queries import QuerySet
 
 __all__ = ["TopKResult", "gap_topk", "gap_topk_batch", "pairwise_gap"]
@@ -63,13 +63,7 @@ def gap_topk(
         raise ValueError("eps must be > 0")
     if src is None:
         raise ValueError("gap_topk needs a RandomSource, e.g. src=SeededSource(seed)")
-    family = noise.strip().lower()
-    if family in ("lap", "laplace"):
-        kind = Laplace(2.0 * k / eps)
-    elif family in ("exp", "exponential"):
-        kind = Exponential(2.0 * k / eps)
-    else:
-        raise ValueError(f"noise must be laplace or exponential, got {noise!r}")
+    kind = _selection_noise(k, eps, noise)
 
     # Single selection pass over (value, -index) keeps the lowest index on ties.
     top = heapq.nlargest(
@@ -81,6 +75,13 @@ def gap_topk(
     )
     charged = eps / 2.0 if q.monotonic else eps
     return TopKResult(pairs, charged)
+
+
+def _selection_noise(k: int, eps: float, noise: str) -> NoiseKind:
+    selection = FamilyNoise(noise, eps, 2.0 * k)
+    if selection.family == "geometric":
+        raise ValueError(f"noise must be laplace or exponential, got {noise!r}")
+    return selection.kind
 
 
 def ranked(noisy: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
@@ -101,8 +102,7 @@ def gap_topk_batch(q: QuerySet, k: int, eps: float, noise: str = "laplace"):
     n = len(q.values)
     # One scalar run on a replayed row rejects what the scalar function rejects.
     gap_topk(q, k, eps, noise, ReplaySource([0.5] * n))
-    family = Laplace if noise.strip().lower() in ("lap", "laplace") else Exponential
-    kind = family(2.0 * k / eps)
+    kind = _selection_noise(k, eps, noise)
     values = np.array(q.values)
 
     def kernel(U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -10,6 +10,7 @@ import argparse
 import sys
 from typing import Optional, Sequence
 
+from .audit import AuditError
 from .harness import EXPERIMENTS, ConfigError, ExperimentConfig, emit, run_experiment
 from .queries import ParseError
 
@@ -82,7 +83,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 1
     try:
         results = run_experiment(cfg)
-    except ConfigError as exc:
+    except (ConfigError, AuditError) as exc:
         print(f"gapdp: config error: {exc}", file=sys.stderr)
         return 1
     except (ParseError, OSError) as exc:

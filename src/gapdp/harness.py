@@ -108,6 +108,8 @@ class ExperimentConfig:
             )
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
+        if self.experiment == "audit" and self.trials < 10_000:
+            raise ConfigError("audit needs at least 10^4 trials per input")
         if not self.eps or not self.k:
             raise ConfigError("eps and k ranges must be nonempty")
         for e in self.eps:
@@ -199,6 +201,8 @@ def _default_theta(cfg: ExperimentConfig, k: int, monotonic: bool, eps: float) -
 
 def _mean_stderr(samples: Sequence[float]) -> tuple[float, float]:
     n = len(samples)
+    if n == 0:
+        return math.nan, math.nan
     mean = sum(samples) / n
     if n < 2:
         return mean, 0.0

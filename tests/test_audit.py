@@ -14,8 +14,9 @@ from gapdp.expmech import ExpMechResult
 from gapdp.hybrid import HybridResult
 from gapdp.noise import Laplace, sample
 from gapdp.queries import QuerySet, adjacent_counts
-from gapdp.svt import BudgetLedger, SvtConfig, SvtItem, SvtResult, gap_svt
-from gapdp.topk import TopKResult
+from gapdp.harness import _batched
+from gapdp.svt import BudgetLedger, SvtConfig, SvtItem, SvtResult, gap_svt, svt_batch
+from gapdp.topk import TopKResult, gap_topk, gap_topk_batch
 
 
 def scalar_laplace(eps):
@@ -138,7 +139,7 @@ def test_gap_svt_add_and_modify_adjacency(family):
     # (all counts up) and modify one record (single count up).
     eps = 1.0
     cfg_mech = SvtConfig(epsilon=eps, k=1, threshold=1.0, theta=0.5, noise=family)
-    mech = lambda qs, src: gap_svt(qs, cfg_mech, src)
+    mech = _batched(gap_svt, svt_batch, cfg_mech)
     d = QuerySet((0.0, 1.0, 0.0))
     neighbors = {
         "add": adjacent_counts(d, range(3), +1),
@@ -157,13 +158,11 @@ def test_gap_svt_add_and_modify_adjacency(family):
 def test_gap_topk_nonmonotonic_within_full_budget():
     # Mixed +1/-1 neighbor (not a counting adjacency): the general bound eps
     # applies rather than eps/2.
-    from gapdp.topk import gap_topk
-
     eps = 1.0
     d = QuerySet((0.0, 1.0, 1.0))
     d_prime = QuerySet((1.0, 0.0, 2.0))
     report = estimate_epsilon(
-        lambda qs, src: gap_topk(qs, 1, eps, "laplace", src),
+        _batched(gap_topk, gap_topk_batch, 1, eps, "laplace"),
         d, d_prime,
         AuditConfig(trials=100_000, bin_width=0.5, min_count=500, seed=8),
         eps_claimed=eps, mechanism="gap_topk_mixed",

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from gapdp import harness
 from gapdp.cli import main
 from gapdp.harness import (
     ConfigError,
@@ -12,6 +13,7 @@ from gapdp.harness import (
     standard_audit_cases,
     synthetic_queries,
 )
+from gapdp.svt import BudgetLedger, SvtResult
 
 COLUMNS = ("experiment", "parameter", "empirical", "theoretical", "stderr", "trials", "seed")
 
@@ -158,6 +160,18 @@ class TestExperiments:
         for row in rows:
             assert 0.0 <= row["empirical"] <= 1.0
 
+    def test_precision_without_returned_items_is_nan(self, monkeypatch):
+        # No scan returns an item, so the precision metrics have no samples.
+        empty = SvtResult((), BudgetLedger(0.7, 0.35))
+        monkeypatch.setattr(harness, "_scan_pair", lambda *args: (empty, empty))
+        rows = run_experiment(small_cfg("precision-fmeasure", trials=3))
+        by = {r["parameter"].split("metric=")[1]: r for r in rows}
+        for name in ("svt", "adaptive"):
+            assert math.isnan(by[f"precision_{name}"]["empirical"])
+            assert math.isnan(by[f"precision_{name}"]["stderr"])
+            assert by[f"fmeasure_{name}"]["empirical"] == 0.0
+        assert ",nan,,nan," in emit(rows, "csv")
+
     def test_remaining_budget_fraction(self):
         rows = run_experiment(small_cfg("remaining-budget"))
         row = rows[0]
@@ -257,6 +271,13 @@ class TestCli:
         assert main(["mse-reduction-topk", "--k", "0", "--trials", "10"]) == 1
         assert main(["mse-reduction-topk", "--eps", "abc"]) == 1
         capsys.readouterr()
+
+    def test_audit_errors_exit_1(self, capsys):
+        # Too few trials for AuditConfig, and too few for any bin to qualify.
+        assert main(["audit", "--trials", "100"]) == 1
+        assert "config error: audit needs at least 10^4 trials" in capsys.readouterr().err
+        assert main(["audit", "--trials", "20000"]) == 1
+        assert "config error: no output bin reached" in capsys.readouterr().err
 
     def test_data_errors_exit_2(self, tmp_path, capsys):
         missing = tmp_path / "missing.txt"

@@ -5,7 +5,9 @@ import pytest
 from scipy import stats
 
 from gapdp.noise import (
+    FAMILIES,
     Exponential,
+    FamilyNoise,
     Geometric,
     Gumbel,
     Laplace,
@@ -13,6 +15,7 @@ from gapdp.noise import (
     ReplayExhaustedError,
     ReplaySource,
     SeededSource,
+    canonical_family,
     mean_of,
     sample,
     sample_logistic_nonneg,
@@ -187,3 +190,34 @@ def test_conditional_logistic_always_positive():
         for loc in (-40.0, -1.0, 0.0, 2.0)
         for _ in range(250_000)
     )
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_family_table_agrees_with_its_kind(family):
+    for eps in np.geomspace(0.01, 10.0, 31):
+        for spread in (1.0, 2.0, 20.0, 50.0):
+            noise = FamilyNoise(family, float(eps), spread)
+            kind = noise.kind
+            assert noise.variance == pytest.approx(kind.variance, rel=1e-12, abs=0.0)
+            if family == "geometric":
+                # 1/p against (1-p)/p: the offset cancels in every gap.
+                assert noise.centre - kind.mean == pytest.approx(
+                    1.0, rel=0.0, abs=1e-12 * noise.centre
+                )
+            else:
+                assert noise.centre == kind.mean
+
+
+def test_geometric_table_variance_where_kind_cannot_be_built():
+    # 1 - e^-50 rounds to 1; theta_optimal still evaluates the variance here.
+    noise = FamilyNoise("geometric", 100.0, 2.0)
+    with pytest.raises(ValueError):
+        noise.kind
+    assert noise.variance == pytest.approx(math.exp(-50.0), rel=1e-12)
+
+
+def test_family_names():
+    assert [canonical_family(n) for n in (" Lap", "exp", "GEO")] == list(FAMILIES)
+    assert FamilyNoise("exp", 1.0).family == "exponential"
+    with pytest.raises(ValueError, match="unknown noise family"):
+        FamilyNoise("gaussian", 1.0)

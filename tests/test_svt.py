@@ -135,6 +135,19 @@ class TestAdaptiveSvtTraces:
         assert src.remaining == 0
 
 
+def test_scans_keep_their_own_comparison_on_infinite_draws():
+    # u = 0 maps Laplace noise to -inf, so the noisy threshold and the noisy
+    # query are both -inf: gap_svt's noisy_q >= noisy_threshold holds, while
+    # adaptive_svt's noisy_q - noisy_threshold >= 0 compares nan and fails.
+    q = QuerySet((5.0,))
+    cfg = SvtConfig(epsilon=1.0, k=1, threshold=1.0, theta=0.5)
+    (item,) = gap_svt(q, cfg, ReplaySource([0.0] * 2)).items
+    assert item.above and item.branch == "middle" and math.isnan(item.gap)
+    adaptive_cfg = SvtConfig(epsilon=1.0, k=1, threshold=1.0, theta=0.5, adaptive=True)
+    (item,) = adaptive_svt(q, adaptive_cfg, ReplaySource([0.0] * 3)).items
+    assert not item.above
+
+
 class TestThetaOptimal:
     @pytest.mark.parametrize(
         "k, branch, monotonic, expected_m",

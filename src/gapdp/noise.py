@@ -86,7 +86,7 @@ class RandomSource:
 class SeededSource(RandomSource):
     """PCG64-backed uniform stream; the same seed yields the same stream."""
 
-    def __init__(self, seed: int, block: int = 4096):
+    def __init__(self, seed: int | np.random.SeedSequence, block: int = 4096):
         self._gen = np.random.Generator(np.random.PCG64(seed))
         self._block = int(block)
         self._next_block = 32  # grow refills so short-lived sources stay cheap

@@ -185,6 +185,17 @@ class TestExperiments:
         b = run_experiment(small_cfg("mse-reduction-topk"))
         assert a == b
 
+    def test_seeds_draw_distinct_trial_streams(self):
+        # Under seed XOR t these four seeds drew the same set of streams.
+        empirical = {
+            run_experiment(ExperimentConfig(
+                experiment="mse-reduction-topk", k=(10,), trials=1000, seed=seed,
+                synthetic="n=60,step=2000,base=10000,order=desc",
+            ))[0]["empirical"]
+            for seed in (0, 1, 2, 5)
+        }
+        assert len(empirical) == 4
+
     def test_dataset_loading(self, tmp_path):
         path = tmp_path / "tx.txt"
         lines = []

@@ -332,8 +332,10 @@ def estimate_epsilon(
             eps_hat = ratio
             worst = (c1, c2)
     if worst is None:
+        case = f" for {mechanism}" if mechanism else ""
         raise AuditError(
-            "no output bin reached the count threshold on both inputs; "
+            f"no output bin reached the count threshold on both inputs{case} "
+            f"({n} trials per input, min_count {cfg.min_count}); "
             "increase trials or bin width"
         )
     slack = 3.0 * math.sqrt(1.0 / worst[0] + 1.0 / worst[1])

@@ -19,6 +19,18 @@ and aggregation is order-free):
   mechanism suite on small worst-case inputs.
 
 Thresholds are drawn per trial from the true top-2k..top-8k ranked values.
+
+Each (eps, k) cell runs as numpy code over chunks of ``_CHUNK`` trials:
+trial t's row of the chunk's uniform matrix holds the first draws of its
+own stream, as many as the trial can read.  The rows go through the audit's
+kernels (:func:`gapdp.svt.svt_batch`, with one threshold per row, and
+:func:`gapdp.topk.gap_topk_batch`), the measurement draws are gathered at
+each row's ``used`` offset, and :func:`gapdp.postprocess.blue_topk_rows` or
+:func:`~gapdp.postprocess.fuse_svt_rows` combines them.  Each trial reads
+the uniforms a scalar run on its stream would read and every sum keeps the
+scalar left-to-right order, so the output does not depend on the chunking;
+``tests/test_harness.py`` holds the scalar per-trial reference.
+
 Synthetic data replaces the transaction datasets with a spec string such as
 ``n=200,step=100,base=1000,order=shuffle,mono=1``.
 """
@@ -49,13 +61,15 @@ from .hybrid import (
     hybrid_identity,
     hybrid_identity_batch,
 )
-from .noise import FamilyNoise, Laplace, RandomSource, SeededSource, canonical_family, sample
+from .noise import FamilyNoise, Laplace, RandomSource, SeededSource, canonical_family
+# blue_topk and fuse_svt are not called here.  They stay attributes of this
+# module because perfbench/tracer.py patches them by name.
 from .postprocess import (
-    BlueInput,
-    VarianceModel,
     blue_topk,
+    blue_topk_rows,
     blue_variance_ratio,
     fuse_svt,
+    fuse_svt_rows,
     svt_variance_model,
 )
 from .queries import QuerySet, adjacent_counts, item_counts, load_transactions
@@ -83,6 +97,10 @@ EXPERIMENTS = (
 )
 
 _N_BATCHES = 50  # batches for standard errors of pooled-ratio statistics
+
+# Trials per array chunk.  Every trial owns a stream, so the chunk size
+# changes no output; 32 rows keep an n = 200 scan's arrays under a megabyte.
+_CHUNK = 32
 
 
 class ConfigError(ValueError):
@@ -174,14 +192,6 @@ def _load_queries(cfg: ExperimentConfig) -> QuerySet:
     return synthetic_queries(cfg.synthetic, cfg.seed)
 
 
-def _threshold_from_rank(sorted_desc: Sequence[float], k: int, u: float) -> float:
-    # Rank drawn uniformly from the true top-2k..top-8k values.
-    lo, hi = 2 * k, 8 * k
-    rank = lo + int(u * (hi - lo + 1))
-    rank = min(rank, hi)
-    return sorted_desc[rank - 1]
-
-
 def _require_ranks(n: int, k: int) -> None:
     if n < 8 * k:
         raise ConfigError(
@@ -189,8 +199,31 @@ def _require_ranks(n: int, k: int) -> None:
         )
 
 
-def _trial_source(seed: int, trial: int, stream: int = 0) -> SeededSource:
-    return SeededSource(np.random.SeedSequence(seed, spawn_key=(trial, stream)))
+def _thresholds(qs: QuerySet, k: int, u: np.ndarray) -> np.ndarray:
+    # Rank drawn uniformly from the true top-2k..top-8k values, one per draw.
+    lo, hi = 2 * k, 8 * k
+    rank = np.minimum(lo + (u * (hi - lo + 1)).astype(np.int64), hi)
+    return np.sort(qs.values)[::-1][rank - 1]
+
+
+def _chunks(trials: int):
+    """Consecutive ranges of at most ``_CHUNK`` trial numbers."""
+    return (range(start, min(start + _CHUNK, trials)) for start in range(0, trials, _CHUNK))
+
+
+def _trial_uniforms(seed: int, trials: range, width: int, stream: int = 0) -> np.ndarray:
+    """Row i: the first ``width`` draws of trial ``trials[i]``'s stream."""
+    return np.vstack([
+        SeededSource(np.random.SeedSequence(seed, spawn_key=(t, stream))).uniform_matrix(1, width)
+        for t in trials
+    ])
+
+
+def _svt_config(cfg: ExperimentConfig, qs: QuerySet, eps: float, k: int, theta: float,
+                adaptive: bool = False) -> SvtConfig:
+    # The kernels take each trial's threshold as an array instead.
+    return SvtConfig(epsilon=eps, k=k, threshold=math.nan, theta=theta, noise=cfg.noise,
+                     monotonic=qs.monotonic, adaptive=adaptive)
 
 
 def _default_theta(cfg: ExperimentConfig, k: int, monotonic: bool, eps: float) -> float:
@@ -223,10 +256,19 @@ class _RatioAccumulator:
         self.base = [0.0] * _N_BATCHES
         self.new = [0.0] * _N_BATCHES
 
-    def add(self, trial: int, base_sq: float, new_sq: float) -> None:
-        b = trial * _N_BATCHES // self.trials
-        self.base[b] += base_sq
-        self.new[b] += new_sq
+    def add(self, trial: np.ndarray, base_sq: np.ndarray, new_sq: np.ndarray) -> None:
+        """Add squared errors listed in trial-then-item order, ``trial[i]``
+        being the trial of entry i.  Each batch sum runs left to right
+        (``np.cumsum``, never the pairwise ``np.sum``), so it does not
+        depend on how the trials were chunked."""
+        if not len(trial):
+            return
+        batch = trial * _N_BATCHES // self.trials
+        bounds = np.flatnonzero(np.diff(batch)) + 1
+        for b, base, new in zip(batch[np.r_[0, bounds]].tolist(),
+                                np.split(base_sq, bounds), np.split(new_sq, bounds)):
+            self.base[b] = float(np.cumsum(np.r_[self.base[b], base])[-1])
+            self.new[b] = float(np.cumsum(np.r_[self.new[b], new])[-1])
 
     def reduction(self) -> tuple[float, float]:
         total_base = sum(self.base)
@@ -260,32 +302,39 @@ def _row(
 
 
 def _mse_reduction_svt(cfg: ExperimentConfig, qs: QuerySet) -> list[dict]:
-    sorted_desc = sorted(qs.values, reverse=True)
+    values = np.array(qs.values)
+    n = len(values)
     rows = []
     for eps in cfg.eps:
         for k in cfg.k:
-            _require_ranks(len(qs), k)
+            _require_ranks(n, k)
             theta = _default_theta(cfg, k, qs.monotonic, eps / 2.0)
             model = svt_variance_model(k, eps, theta, cfg.noise, qs.monotonic)
+            draws, scan, _ = svt_batch(qs, _svt_config(cfg, qs, eps / 2.0, k, theta))
             acc = _RatioAccumulator(cfg.trials)
-            for t in range(cfg.trials):
-                src = _trial_source(cfg.seed, t)
-                threshold = _threshold_from_rank(sorted_desc, k, src.uniform())
-                svt_cfg = SvtConfig(
-                    epsilon=eps / 2.0, k=k, threshold=threshold, theta=theta,
-                    noise=cfg.noise, monotonic=qs.monotonic,
-                )
-                selected = gap_svt(qs, svt_cfg, src).above_items()
-                if not selected:
-                    continue
-                m = len(selected)
-                meas = Laplace(2.0 * m / eps)
-                trial_model = VarianceModel(8.0 * m * m / (eps * eps), model.var_gap)
-                for item in selected:
-                    true = qs.values[item.index]
-                    alpha = true + sample(meas, src)
-                    beta = fuse_svt([item.gap + threshold], [alpha], trial_model)[0]
-                    acc.add(t, (alpha - true) ** 2, (beta - true) ** 2)
+            for trials in _chunks(cfg.trials):
+                # A trial draws its threshold rank, runs the scan, then
+                # measures each of its m answers: at most 1 + draws + n.
+                U = _trial_uniforms(cfg.seed, trials, 1 + draws + n)
+                thresholds = _thresholds(qs, k, U[:, 0])
+                codes, gaps, used = scan(U[:, 1:1 + draws], thresholds)
+                answered = codes > 0
+                m = answered.sum(axis=1)
+                some = m > 0
+                m, used, thresholds = m[some], used[some], thresholds[some]
+                width = int(m.max(initial=0))
+                # Answered queries first, in scan order, as their gaps are.
+                index = np.argsort(~answered[some], axis=1, kind="stable")[:, :width]
+                true = values[index]
+                u = np.take_along_axis(U[some], 1 + used[:, None] + np.arange(width), axis=1)
+                # Laplace(2m/eps) noise: scaling unit noise rounds as drawing
+                # at the scale does, both being one product with log1p's value.
+                alphas = true + (2.0 * m / eps)[:, None] * Laplace(1.0).inverse_cdf_array(u)
+                betas = fuse_svt_rows(gaps[some][:, :width] + thresholds[:, None], alphas,
+                                      (8.0 * m * m / (eps * eps))[:, None], model.var_gap)
+                slot = np.arange(width) < m[:, None]
+                trial = np.broadcast_to(np.asarray(trials)[some][:, None], slot.shape)
+                acc.add(trial[slot], ((alphas - true) ** 2)[slot], ((betas - true) ** 2)[slot])
             empirical, stderr = acc.reduction()
             theory = model.var_alpha / (model.var_alpha + model.var_gap)
             rows.append(_row(cfg, f"eps={eps:g},k={k}",
@@ -294,10 +343,12 @@ def _mse_reduction_svt(cfg: ExperimentConfig, qs: QuerySet) -> list[dict]:
 
 
 def _mse_reduction_topk(cfg: ExperimentConfig, qs: QuerySet) -> list[dict]:
+    values = np.array(qs.values)
+    n = len(values)
     rows = []
     for eps in cfg.eps:
         for k in cfg.k:
-            if k + 1 > len(qs):
+            if k + 1 > n:
                 raise ConfigError(f"top-k needs at least k+1 = {k + 1} queries")
             if cfg.noise == "geometric":
                 raise ConfigError("top-k supports laplace or exponential noise only")
@@ -310,18 +361,17 @@ def _mse_reduction_topk(cfg: ExperimentConfig, qs: QuerySet) -> list[dict]:
             # makes lam exactly 1, 4, 1/2 or 2.
             selection = FamilyNoise(cfg.noise, eps, 2.0 * k if qs.monotonic else 4.0 * k)
             lam = selection.variance / measurement.variance
-            meas = measurement.kind
+            _, select, _ = gap_topk_batch(qs, k, eps_param, cfg.noise)
             acc = _RatioAccumulator(cfg.trials)
-            for t in range(cfg.trials):
-                src = _trial_source(cfg.seed, t)
-                result = gap_topk(qs, k, eps_param, cfg.noise, src)
-                alphas = [
-                    qs.values[j] + sample(meas, src) for j in result.indices
-                ]
-                betas = blue_topk(BlueInput(tuple(alphas), result.gaps[: k - 1], lam))
-                for j, alpha, beta in zip(result.indices, alphas, betas):
-                    true = qs.values[j]
-                    acc.add(t, (alpha - true) ** 2, (beta - true) ** 2)
+            for trials in _chunks(cfg.trials):
+                # n selection draws, then one measurement per rank.
+                U = _trial_uniforms(cfg.seed, trials, n + k)
+                index, gaps = select(U[:, :n])
+                true = values[index]
+                alphas = true + measurement.kind.inverse_cdf_array(U[:, n:])
+                betas = blue_topk_rows(alphas, gaps[:, :k - 1], lam)
+                acc.add(np.repeat(np.asarray(trials), k),
+                        ((alphas - true) ** 2).ravel(), ((betas - true) ** 2).ravel())
             empirical, stderr = acc.reduction()
             theory = 1.0 - blue_variance_ratio(k, lam)
             rows.append(_row(cfg, f"eps={eps:g},k={k}",
@@ -329,40 +379,33 @@ def _mse_reduction_topk(cfg: ExperimentConfig, qs: QuerySet) -> list[dict]:
     return rows
 
 
-def _scan_pair(cfg, qs, eps, k, theta, threshold, src, src_alt):
-    base_cfg = SvtConfig(
-        epsilon=eps, k=k, threshold=threshold, theta=theta,
-        noise=cfg.noise, monotonic=qs.monotonic,
-    )
-    adaptive_cfg = SvtConfig(
-        epsilon=eps, k=k, threshold=threshold, theta=theta,
-        noise=cfg.noise, monotonic=qs.monotonic, adaptive=True,
-    )
-    return gap_svt(qs, base_cfg, src), adaptive_svt(qs, adaptive_cfg, src_alt)
+def _compared_scans(cfg: ExperimentConfig, qs: QuerySet, eps: float, k: int, theta: float):
+    """Per chunk of trials: each trial's threshold, the codes of its
+    single-branch scan (stream 0, after the threshold draw) and those of its
+    adaptive scan (stream 1), both at budget ``eps``."""
+    draws, scan, _ = svt_batch(qs, _svt_config(cfg, qs, eps, k, theta))
+    alt_draws, alt_scan, _ = svt_batch(qs, _svt_config(cfg, qs, eps, k, theta, adaptive=True))
+    for trials in _chunks(cfg.trials):
+        U = _trial_uniforms(cfg.seed, trials, 1 + draws)
+        thresholds = _thresholds(qs, k, U[:, 0])
+        alt = _trial_uniforms(cfg.seed, trials, alt_draws, stream=1)
+        yield thresholds, scan(U[:, 1:], thresholds)[0], alt_scan(alt, thresholds)[0]
 
 
 def _adaptive_counts(cfg: ExperimentConfig, qs: QuerySet) -> list[dict]:
-    sorted_desc = sorted(qs.values, reverse=True)
     rows = []
     for eps in cfg.eps:
         for k in cfg.k:
             _require_ranks(len(qs), k)
             theta = _default_theta(cfg, k, qs.monotonic, eps)
             counts = {"svt": [], "adaptive": [], "adaptive_top": [], "adaptive_middle": []}
-            for t in range(cfg.trials):
-                src = _trial_source(cfg.seed, t)
-                threshold = _threshold_from_rank(sorted_desc, k, src.uniform())
-                src_alt = _trial_source(cfg.seed, t, 1)
-                base, adaptive = _scan_pair(cfg, qs, eps, k, theta, threshold, src, src_alt)
-                counts["svt"].append(float(len(base.above_items())))
-                above = adaptive.above_items()
-                counts["adaptive"].append(float(len(above)))
-                counts["adaptive_top"].append(
-                    float(sum(1 for item in above if item.branch == "top"))
-                )
-                counts["adaptive_middle"].append(
-                    float(sum(1 for item in above if item.branch == "middle"))
-                )
+            for _, base, adaptive in _compared_scans(cfg, qs, eps, k, theta):
+                top = (adaptive == 2).sum(axis=1)
+                middle = (adaptive == 1).sum(axis=1)
+                counts["svt"] += (base > 0).sum(axis=1).tolist()
+                counts["adaptive"] += (top + middle).tolist()
+                counts["adaptive_top"] += top.tolist()
+                counts["adaptive_middle"] += middle.tolist()
             for metric, samples in counts.items():
                 mean, stderr = _mean_stderr(samples)
                 rows.append(_row(cfg, f"eps={eps:g},k={k},metric=answered_{metric}",
@@ -371,7 +414,7 @@ def _adaptive_counts(cfg: ExperimentConfig, qs: QuerySet) -> list[dict]:
 
 
 def _precision_fmeasure(cfg: ExperimentConfig, qs: QuerySet) -> list[dict]:
-    sorted_desc = sorted(qs.values, reverse=True)
+    values = np.array(qs.values)
     rows = []
     for eps in cfg.eps:
         for k in cfg.k:
@@ -379,26 +422,22 @@ def _precision_fmeasure(cfg: ExperimentConfig, qs: QuerySet) -> list[dict]:
             theta = _default_theta(cfg, k, qs.monotonic, eps)
             stats = {"precision_svt": [], "precision_adaptive": [],
                      "fmeasure_svt": [], "fmeasure_adaptive": []}
-            for t in range(cfg.trials):
-                src = _trial_source(cfg.seed, t)
-                threshold = _threshold_from_rank(sorted_desc, k, src.uniform())
-                src_alt = _trial_source(cfg.seed, t, 1)
-                base, adaptive = _scan_pair(cfg, qs, eps, k, theta, threshold, src, src_alt)
-                true_above = {
-                    i for i, v in enumerate(qs.values) if v > threshold
-                }
-                for name, result in (("svt", base), ("adaptive", adaptive)):
-                    returned = {item.index for item in result.above_items()}
-                    hits = len(returned & true_above)
-                    if returned:
-                        precision = hits / len(returned)
-                        stats[f"precision_{name}"].append(precision)
-                        recall = hits / len(true_above) if true_above else 0.0
-                        f = (2.0 * precision * recall / (precision + recall)
-                             if precision + recall > 0.0 else 0.0)
-                        stats[f"fmeasure_{name}"].append(f)
-                    else:
-                        stats[f"fmeasure_{name}"].append(0.0)
+            for thresholds, *scans in _compared_scans(cfg, qs, eps, k, theta):
+                true_above = values > thresholds[:, None]
+                relevant = true_above.sum(axis=1)
+                for name, codes in zip(("svt", "adaptive"), scans):
+                    returned = codes > 0
+                    count = returned.sum(axis=1)
+                    hits = (returned & true_above).sum(axis=1)
+                    # A trial returning nothing has no precision and F = 0;
+                    # with no query truly above, recall is 0.
+                    precision = hits / np.maximum(count, 1)
+                    recall = hits / np.maximum(relevant, 1)
+                    both = precision + recall
+                    f = np.divide(2.0 * precision * recall, both,
+                                  out=np.zeros(len(both)), where=both > 0.0)
+                    stats[f"precision_{name}"] += precision[count > 0].tolist()
+                    stats[f"fmeasure_{name}"] += f.tolist()
             for metric, samples in stats.items():
                 mean, stderr = _mean_stderr(samples)
                 rows.append(_row(cfg, f"eps={eps:g},k={k},metric={metric}",
@@ -407,31 +446,22 @@ def _precision_fmeasure(cfg: ExperimentConfig, qs: QuerySet) -> list[dict]:
 
 
 def _remaining_budget(cfg: ExperimentConfig, qs: QuerySet) -> list[dict]:
-    sorted_desc = sorted(qs.values, reverse=True)
     rows = []
     for eps in cfg.eps:
         for k in cfg.k:
             _require_ranks(len(qs), k)
             theta = _default_theta(cfg, k, qs.monotonic, eps)
+            svt_cfg = _svt_config(cfg, qs, eps, k, theta, adaptive=True)
+            draws, scan, _ = svt_batch(qs, svt_cfg)
             fractions = []
-            for t in range(cfg.trials):
-                src = _trial_source(cfg.seed, t)
-                threshold = _threshold_from_rank(sorted_desc, k, src.uniform())
-                adaptive_cfg = SvtConfig(
-                    epsilon=eps, k=k, threshold=threshold, theta=theta,
-                    noise=cfg.noise, monotonic=qs.monotonic, adaptive=True,
-                )
-                result = adaptive_svt(qs, adaptive_cfg, src)
+            for trials in _chunks(cfg.trials):
+                U = _trial_uniforms(cfg.seed, trials, 1 + draws)
+                codes = scan(U[:, 1:], _thresholds(qs, k, U[:, 0]))[0]
                 # Stop the scan after k answers: budget spent up to then.
-                consumed = adaptive_cfg.eps0
-                answered = 0
-                for item in result.items:
-                    if item.above:
-                        consumed += item.budget_used
-                        answered += 1
-                        if answered >= k:
-                            break
-                fractions.append(1.0 - consumed / eps)
+                cost = np.select([codes == 2, codes == 1], [svt_cfg.eps2, svt_cfg.eps1], 0.0)
+                cost[np.cumsum(codes > 0, axis=1) > k] = 0.0
+                consumed = np.cumsum(np.hstack([np.full((len(U), 1), svt_cfg.eps0), cost]), axis=1)
+                fractions += (1.0 - consumed[:, -1] / eps).tolist()
             mean, stderr = _mean_stderr(fractions)
             # Far-above-threshold limit: k top-branch answers cost
             # eps0 + k*eps2 = eps*(1+theta)/2.

@@ -2,11 +2,13 @@
 
 * :func:`blue_topk` -- best linear unbiased estimator combining k direct
   noisy measurements with the k-1 consecutive noisy gaps from top-k
-  selection; runs in O(k) via prefix sums.
+  selection; runs in O(k) via prefix sums.  :func:`blue_topk_rows` is its
+  body, one estimate per row of a measurement matrix.
 * :func:`blue_variance_ratio` -- its exact variance ratio against using the
   direct measurements alone: (1 + lambda*k) / (k + lambda*k).
 * :func:`fuse_svt` -- inverse-variance fusion of gap-derived estimates
-  (gap + public threshold) with direct measurements, per query.
+  (gap + public threshold) with direct measurements, per query; its body
+  :func:`fuse_svt_rows` takes arrays and per-row variances.
 * :func:`svt_variance_model` -- the gap/measurement variances implied by the
   half-selection/half-measurement budget split.
 """
@@ -16,14 +18,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .noise import FamilyNoise
 
 __all__ = [
     "BlueInput",
     "VarianceModel",
     "blue_topk",
+    "blue_topk_rows",
     "blue_variance_ratio",
     "fuse_svt",
+    "fuse_svt_rows",
     "svt_variance_model",
 ]
 
@@ -75,19 +81,28 @@ def blue_topk(inp: BlueInput) -> list[float]:
     the model alpha = q + xi, g = N(q + eta) with var(eta)/var(xi) = lam.
     """
     k = len(inp.alphas)
-    lam = inp.lam
-    alpha_total = sum(inp.alphas)
-    weighted = sum((k - j) * g for j, g in enumerate(inp.gaps, start=1))
-    scale = (1.0 + lam) * k
-    estimates = []
-    prefix = 0.0
-    for i in range(k):
-        estimates.append(
-            (alpha_total + lam * k * inp.alphas[i] + weighted - k * prefix) / scale
-        )
-        if i < k - 1:
-            prefix += inp.gaps[i]
-    return estimates
+    gaps = np.array(inp.gaps, dtype=np.float64).reshape(1, k - 1)
+    return blue_topk_rows(np.array([inp.alphas]), gaps, inp.lam)[0].tolist()
+
+
+def blue_topk_rows(alphas: np.ndarray, gaps: np.ndarray, lam: float) -> np.ndarray:
+    """:func:`blue_topk` on every row: ``alphas`` is (rows, k), ``gaps`` is
+    (rows, k-1), and row r of the result is ``blue_topk`` of row r.
+
+    Every sum runs left to right (``np.cumsum``, never the pairwise
+    ``np.sum``), so a row gives the same floats whatever the row count.
+    """
+    rows, k = alphas.shape
+    if gaps.shape != (rows, k - 1):
+        raise ValueError(f"need gaps of shape {(rows, k - 1)}, got {gaps.shape}")
+    if not lam > 0.0:
+        raise ValueError("variance ratio lam must be > 0")
+    alpha_total = np.cumsum(alphas, axis=1)[:, -1:]
+    weighted = np.cumsum(
+        np.hstack([np.zeros((rows, 1)), (k - np.arange(1, k)) * gaps]), axis=1
+    )[:, -1:]
+    prefix = np.cumsum(np.hstack([np.zeros((rows, 1)), gaps]), axis=1)
+    return (alpha_total + lam * k * alphas + weighted - k * prefix) / ((1.0 + lam) * k)
 
 
 def blue_variance_ratio(k: int, lam: float) -> float:
@@ -111,13 +126,19 @@ def fuse_svt(
     """
     if len(gap_estimates) != len(alphas):
         raise ValueError("gap_estimates and alphas must have equal length")
-    w_alpha = 1.0 / model.var_alpha
-    w_gap = 1.0 / model.var_gap
+    return fuse_svt_rows(
+        np.array(gap_estimates, dtype=np.float64), np.array(alphas, dtype=np.float64),
+        model.var_alpha, model.var_gap,
+    ).tolist()
+
+
+def fuse_svt_rows(gap_estimates: np.ndarray, alphas: np.ndarray, var_alpha, var_gap):
+    """:func:`fuse_svt` elementwise on arrays; the variances may be arrays
+    broadcasting against them, such as one ``var_alpha`` per row."""
+    w_alpha = 1.0 / var_alpha
+    w_gap = 1.0 / var_gap
     total = w_alpha + w_gap
-    return [
-        (a * w_alpha + g * w_gap) / total
-        for g, a in zip(gap_estimates, alphas)
-    ]
+    return (alphas * w_alpha + gap_estimates * w_gap) / total
 
 
 def svt_variance_model(

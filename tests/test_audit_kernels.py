@@ -12,6 +12,7 @@ tests/test_audit_kernels.py``; the module also turns RuntimeWarnings into
 errors itself, so no overflow or divide warning can leak from a kernel.
 """
 
+import dataclasses
 import itertools
 import math
 from types import SimpleNamespace
@@ -19,7 +20,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from gapdp import audit
+from gapdp import audit, svt
 from gapdp.audit import AuditConfig, as_audit_output, estimate_epsilon
 from gapdp.harness import standard_audit_cases
 from gapdp.noise import (
@@ -34,6 +35,7 @@ from gapdp.noise import (
     sample_logistic_nonneg_array,
 )
 from gapdp.queries import QuerySet, adjacent_counts
+from gapdp.svt import SvtConfig, adaptive_svt, gap_svt, svt_batch
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
@@ -85,6 +87,38 @@ def test_kernel_matches_scalar_mechanism(name):
         draws = case.mech.batch(data)[0]
         assert_rows_match(case.mech, data, rng.random((5000, draws)))
         assert_rows_match(case.mech, data, hand_picked(draws))
+
+
+@pytest.mark.parametrize("noise", ["laplace", "exponential", "geometric"])
+@pytest.mark.parametrize("adaptive", [False, True])
+def test_svt_kernel_bodies_match_scalar_scan_with_row_thresholds(adaptive, noise):
+    # The harness hands the SVT kernel one threshold per row, and few rows
+    # over many queries select the kernel's other body.  Both bodies must
+    # give each row the scalar scan's output and read exactly its draws.
+    rng = np.random.default_rng(17 + adaptive)
+    values = rng.integers(0, 30, 24).astype(float)
+    for monotonic in (False, True):
+        data = QuerySet(tuple(values), monotonic=monotonic)
+        cfg = SvtConfig(epsilon=0.7, k=3, threshold=math.nan, theta=0.3, noise=noise,
+                        adaptive=adaptive)
+        draws, kernel, _ = svt_batch(data, cfg)
+        scan = adaptive_svt if adaptive else gap_svt
+        for rows in (8, 300):
+            assert svt._scan_whole(rows, len(values)) == (rows == 8)
+            U = rng.random((rows, draws))
+            U[rng.random(U.shape) < 0.3] = 0.5  # zero Laplace noise: ties
+            thresholds = rng.choice(values, rows)
+            codes, gaps, used = kernel(U, thresholds)
+            for r, row in enumerate(U):
+                source = ReplaySource(row)
+                row_cfg = dataclasses.replace(cfg, threshold=float(thresholds[r]))
+                discrete, reals = as_audit_output(scan(data, row_cfg, source))
+                assert used[r] == draws - source.remaining, (rows, r)
+                assert tuple(int(c) for c in codes[r] if c != -1) == discrete, (rows, r)
+                got = [float(g) for g in gaps[r] if not math.isnan(g)]
+                assert len(got) == len(reals), (rows, r)
+                for g, want in zip(got, reals):
+                    assert math.isclose(g, want, rel_tol=1e-12, abs_tol=1e-12), (rows, r)
 
 
 def test_every_standard_case_carries_a_kernel():

@@ -1,11 +1,13 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from gapdp import harness
 from gapdp.cli import main
 from gapdp.harness import (
+    EXPERIMENTS,
     ConfigError,
     ExperimentConfig,
     emit,
@@ -13,7 +15,10 @@ from gapdp.harness import (
     standard_audit_cases,
     synthetic_queries,
 )
-from gapdp.svt import BudgetLedger, SvtResult
+from gapdp.noise import Laplace, SeededSource, sample
+from gapdp.postprocess import BlueInput, VarianceModel, blue_topk, fuse_svt, svt_variance_model
+from gapdp.svt import SvtConfig, adaptive_svt, gap_svt
+from gapdp.topk import gap_topk
 
 COLUMNS = ("experiment", "parameter", "empirical", "theoretical", "stderr", "trials", "seed")
 
@@ -162,8 +167,11 @@ class TestExperiments:
 
     def test_precision_without_returned_items_is_nan(self, monkeypatch):
         # No scan returns an item, so the precision metrics have no samples.
-        empty = SvtResult((), BudgetLedger(0.7, 0.35))
-        monkeypatch.setattr(harness, "_scan_pair", lambda *args: (empty, empty))
+        def no_answers(cfg, qs, eps, k, theta):
+            below = np.zeros((cfg.trials, len(qs)), dtype=np.int64)
+            yield np.full(cfg.trials, 500.0), below, below
+
+        monkeypatch.setattr(harness, "_compared_scans", no_answers)
         rows = run_experiment(small_cfg("precision-fmeasure", trials=3))
         by = {r["parameter"].split("metric=")[1]: r for r in rows}
         for name in ("svt", "adaptive"):
@@ -283,6 +291,11 @@ class TestCli:
         assert main(["mse-reduction-topk", "--eps", "abc"]) == 1
         capsys.readouterr()
 
+    def test_audit_error_names_the_case(self, capsys):
+        assert main(["audit", "--trials", "20000", "--seed", "0"]) == 1
+        err = capsys.readouterr().err
+        assert "for gap_topk_laplace (20000 trials per input, min_count 1000)" in err
+
     def test_audit_errors_exit_1(self, capsys):
         # Too few trials for AuditConfig, and too few for any bin to qualify.
         assert main(["audit", "--trials", "100"]) == 1
@@ -303,3 +316,162 @@ class TestCli:
         ])
         assert code == 2
         capsys.readouterr()
+
+
+# ------------------------------------------------ scalar per-trial reference
+#
+# The harness runs each (eps, k) cell as array code over chunks of trials.
+# This reference runs the same experiments one trial at a time through the
+# scalar mechanisms, reading trial t's stream draw by draw.  Its noise comes
+# from ``math``'s log1p where the kernels use numpy's, which differ in the
+# last bit, so the MSE statistics agree to 1e-9 relative and at the 6
+# digits written out; counts, precision and budget fractions agree exactly.
+
+def trial_source(cfg, t, stream=0):
+    return SeededSource(np.random.SeedSequence(cfg.seed, spawn_key=(t, stream)))
+
+
+def draw_threshold(desc, k, u):
+    return desc[min(2 * k + int(u * (6 * k + 1)), 8 * k) - 1]
+
+
+def scan_config(cfg, qs, eps, k, threshold, theta, adaptive=False):
+    return SvtConfig(eps, k, threshold, theta, cfg.noise, qs.monotonic, adaptive)
+
+
+def pooled(errors, trials):
+    """100 * (1 - new/base) over (trial, base, new) squared errors, and the
+    stderr over 50 trial batches."""
+    base, new = [0.0] * 50, [0.0] * 50
+    for t, b, n in errors:
+        base[t * 50 // trials] += b
+        new[t * 50 // trials] += n
+    if sum(base) <= 0.0:
+        return math.nan, math.nan
+    ratios = [1.0 - n / b for n, b in zip(new, base) if b > 0.0]
+    return 100.0 * (1.0 - sum(new) / sum(base)), 100.0 * harness._mean_stderr(ratios)[1]
+
+
+def reference_cell(cfg, qs, eps, k):
+    """(empirical, stderr) of each row of one (eps, k) cell."""
+    desc = sorted(qs.values, reverse=True)
+    trials = range(cfg.trials)
+    if cfg.experiment == "mse-reduction-topk":
+        lam = {("laplace", True): 1.0, ("laplace", False): 4.0,
+               ("exponential", True): 0.5, ("exponential", False): 2.0}[cfg.noise, qs.monotonic]
+        errors = []
+        for t in trials:
+            src = trial_source(cfg, t)
+            result = gap_topk(qs, k, eps if qs.monotonic else eps / 2.0, cfg.noise, src)
+            alphas = [qs.values[j] + sample(Laplace(2.0 * k / eps), src) for j in result.indices]
+            betas = blue_topk(BlueInput(tuple(alphas), result.gaps[: k - 1], lam))
+            for j, alpha, beta in zip(result.indices, alphas, betas):
+                errors.append((t, (alpha - qs.values[j]) ** 2, (beta - qs.values[j]) ** 2))
+        return [pooled(errors, cfg.trials)]
+    if cfg.experiment == "mse-reduction-svt":
+        theta = harness._default_theta(cfg, k, qs.monotonic, eps / 2.0)
+        var_gap = svt_variance_model(k, eps, theta, cfg.noise, qs.monotonic).var_gap
+        errors = []
+        for t in trials:
+            src = trial_source(cfg, t)
+            threshold = draw_threshold(desc, k, src.uniform())
+            picked = gap_svt(qs, scan_config(cfg, qs, eps / 2.0, k, threshold, theta),
+                             src).above_items()
+            m = len(picked)
+            for item in picked:
+                true = qs.values[item.index]
+                alpha = true + sample(Laplace(2.0 * m / eps), src)
+                model = VarianceModel(8.0 * m * m / (eps * eps), var_gap)
+                beta = fuse_svt([item.gap + threshold], [alpha], model)[0]
+                errors.append((t, (alpha - true) ** 2, (beta - true) ** 2))
+        return [pooled(errors, cfg.trials)]
+    theta = harness._default_theta(cfg, k, qs.monotonic, eps)
+    samples = {}
+    for t in trials:
+        src = trial_source(cfg, t)
+        threshold = draw_threshold(desc, k, src.uniform())
+        if cfg.experiment == "remaining-budget":
+            scan_cfg = scan_config(cfg, qs, eps, k, threshold, theta, adaptive=True)
+            spent = [item.budget_used for item in adaptive_svt(qs, scan_cfg, src).items
+                     if item.above][:k]
+            consumed = scan_cfg.eps0
+            for cost in spent:
+                consumed += cost
+            samples.setdefault("fraction", []).append(1.0 - consumed / eps)
+            continue
+        base = gap_svt(qs, scan_config(cfg, qs, eps, k, threshold, theta), src)
+        adaptive = adaptive_svt(qs, scan_config(cfg, qs, eps, k, threshold, theta, True),
+                                trial_source(cfg, t, 1))
+        if cfg.experiment == "adaptive-counts":
+            above = adaptive.above_items()
+            for metric, count in (
+                ("svt", len(base.above_items())), ("adaptive", len(above)),
+                ("adaptive_top", sum(item.branch == "top" for item in above)),
+                ("adaptive_middle", sum(item.branch == "middle" for item in above)),
+            ):
+                samples.setdefault(metric, []).append(float(count))
+            continue
+        true_above = {i for i, v in enumerate(qs.values) if v > threshold}
+        samples.setdefault("precision_svt", [])
+        samples.setdefault("precision_adaptive", [])
+        for name, result in (("svt", base), ("adaptive", adaptive)):
+            returned = {item.index for item in result.above_items()}
+            hits = len(returned & true_above)
+            f = 0.0
+            if returned:
+                precision = hits / len(returned)
+                recall = hits / len(true_above) if true_above else 0.0
+                samples[f"precision_{name}"].append(precision)
+                if precision + recall > 0.0:
+                    f = 2.0 * precision * recall / (precision + recall)
+            samples.setdefault(f"fmeasure_{name}", []).append(f)
+    return [harness._mean_stderr(values) for values in samples.values()]
+
+
+CHUNK = harness._CHUNK
+
+
+@pytest.mark.parametrize("mono", [0, 1])
+@pytest.mark.parametrize("noise", ["laplace", "exp", "geo"])
+@pytest.mark.parametrize("experiment", [e for e in EXPERIMENTS if e != "audit"])
+def test_batched_runners_match_scalar_reference(experiment, noise, mono):
+    for trials in (1, CHUNK - 1, CHUNK + 1, 2 * CHUNK + 3):
+        cfg = ExperimentConfig(
+            experiment=experiment, eps=(0.4, 2.0), k=(2, 5), trials=trials, seed=6,
+            noise=noise, synthetic=f"n=40,step=3,base=100,order=shuffle,mono={mono}",
+        )
+        if experiment == "mse-reduction-topk" and cfg.noise == "geometric":
+            with pytest.raises(ConfigError):
+                run_experiment(cfg)
+            return
+        qs = synthetic_queries(cfg.synthetic, cfg.seed)
+        rows = run_experiment(cfg)
+        reference = [r for eps in cfg.eps for k in cfg.k for r in reference_cell(cfg, qs, eps, k)]
+        assert len(reference) == len(rows)
+        want = [dict(row, empirical=e, stderr=s) for row, (e, s) in zip(rows, reference)]
+        assert emit(rows) == emit(want), trials
+        for got, ref in zip(rows, want):
+            for key in ("empirical", "stderr"):
+                a, b = got[key], ref[key]
+                if experiment.startswith("mse") and not math.isnan(b):
+                    assert math.isclose(a, b, rel_tol=1e-9), (trials, got, ref)
+                else:
+                    assert a == b or (math.isnan(a) and math.isnan(b)), (trials, got, ref)
+
+
+def test_ratio_accumulator_sums_left_to_right_whatever_the_chunks():
+    # The batch sums must equal a scalar left-to-right sum however the
+    # entries are split into calls; np.sum adds pairwise and rounds otherwise.
+    rng = np.random.default_rng(8)
+    trials = 997
+    trial = np.sort(rng.integers(0, trials, 20_000))
+    base_sq, new_sq = rng.random(20_000) * 1e3, rng.random(20_000)
+    want_base, want_new = [0.0] * 50, [0.0] * 50
+    for t, b, n in zip(trial.tolist(), base_sq.tolist(), new_sq.tolist()):
+        want_base[t * 50 // trials] += b
+        want_new[t * 50 // trials] += n
+    for chunk in (len(trial), 4096, 7):
+        acc = harness._RatioAccumulator(trials)
+        for s in range(0, len(trial), chunk):
+            acc.add(trial[s:s + chunk], base_sq[s:s + chunk], new_sq[s:s + chunk])
+        assert acc.base == want_base and acc.new == want_new, chunk

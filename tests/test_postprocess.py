@@ -9,6 +9,7 @@ from gapdp.postprocess import (
     BlueInput,
     VarianceModel,
     blue_topk,
+    blue_topk_rows,
     blue_variance_ratio,
     fuse_svt,
     svt_variance_model,
@@ -170,12 +171,7 @@ def test_blue_unbiased_and_variance_ratio_monte_carlo():
         alphas = q + xi
         noisy_rank = q + eta
         gaps = noisy_rank[:, :-1] - noisy_rank[:, 1:]
-        betas = np.array(
-            [
-                blue_topk(BlueInput(tuple(alphas[t]), tuple(gaps[t]), lam))
-                for t in range(trials)
-            ]
-        )
+        betas = blue_topk_rows(alphas, gaps, lam)
         errors = betas - q
         # Unbiasedness within 3 standard errors, per coordinate.
         se = errors.std(axis=0) / math.sqrt(trials)

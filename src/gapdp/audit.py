@@ -25,9 +25,13 @@ run in chunks of at most 4096 rows, each binned with one ``np.unique``.
 
 A callable without the attribute (or any wrapper around one, since
 ``__wrapped__`` is never followed) runs one scalar call per trial.  Either
-way the audit certifies what actually ran: on the batch path that is the
-kernel, whose agreement with the scalar mechanism the oracle tests in
-``tests/test_audit_kernels.py`` establish row by row.
+way the audit certifies what actually ran.  On the batch path that is the
+kernel.  For the fixed-draw mechanisms (top-k, the hybrids, Gumbel-max) the
+kernel is also the released mechanism, since the public function runs it on
+one row.  The sparse-vector scans and the black-box exponential mechanism
+keep their scalar public forms.  The oracle tests in
+``tests/test_audit_kernels.py`` pin every kernel row by row to an
+independent loop reference, or for the scans to the scalar scan.
 
 Trials are independent, so the per-input histograms may be sharded across
 workers and merged by summing counts.
@@ -68,8 +72,8 @@ _STREAM_OFFSET = 0x9E3779B97F4A7C15
 # kernel that stops early.  It bounds the kernel's working set at a few MB.
 _CHUNK = 4096
 
-# Rows the kernel cannot bin exactly are replayed through the scalar
-# mechanism instead: rows holding a zero draw, which can map to infinite
+# Rows the kernel cannot bin exactly are replayed through the mechanism
+# callable instead: rows holding a zero draw, which can map to infinite
 # noise (the kernel sees those zeros masked), and rows with a gap bin at or
 # beyond this magnitude, which could not be cast to int64 (the scalar path
 # raises on an infinite one).
@@ -185,7 +189,7 @@ def _histogram(
         return counts
 
     def replay(row: np.ndarray):
-        """The scalar mechanism on one row, and how many draws it read."""
+        """The mechanism callable on one row, and how many draws it read."""
         source = ReplaySource(row)
         return mech(data, source), len(row) - source.remaining
 

@@ -16,6 +16,7 @@ can be arbitrary; any selector can be wrapped and still release the gap.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
@@ -26,11 +27,10 @@ import numpy as np
 from .noise import (
     Gumbel,
     RandomSource,
-    sample,
     sample_logistic_nonneg,
     sample_logistic_nonneg_array,
 )
-from .topk import ranked
+from .topk import single_run, top_gaps
 
 __all__ = [
     "ExpMechResult",
@@ -95,52 +95,43 @@ def exp_mech_gumbel(u: UtilityTable, src: RandomSource) -> ExpMechResult:
     """Gumbel-max exponential mechanism, returning winner and runner-up gap.
 
     The selection marginal equals the softmax over scaled scores, and the
-    noisy maximum is Gumbel-distributed with location logsumexp(x).
+    noisy maximum is Gumbel-distributed with location logsumexp(x).  Runs
+    :func:`exp_mech_gumbel_batch`'s kernel on the next n uniforms of ``src``.
     """
-    best = -math.inf
-    second = -math.inf
-    best_index = 0
-    for i, x in enumerate(u.scaled_scores()):
-        noisy = x + sample(Gumbel(0.0), src)
-        if noisy > best:
-            second = best
-            best = noisy
-            best_index = i
-        elif noisy > second:
-            second = noisy
-    return ExpMechResult(best_index, best - second)
+    draws, kernel, _ = exp_mech_gumbel_batch(u)
+    ((selected, gap),) = single_run(kernel, draws, src)
+    return ExpMechResult(selected, gap)
 
 
 def exp_mech_gumbel_batch(u: UtilityTable):
-    """Batch kernel of :func:`exp_mech_gumbel`, for the audit.
+    """The kernel of :func:`exp_mech_gumbel`, which the audit runs directly.
 
     Returns ``(n, kernel, False)``; ``kernel(U)`` maps a (trials, n)
     uniform matrix to every trial's winner (int64, trials x 1) and gap
-    (float64, trials x 1).  The scalar scan keeps the first of equal maxima,
-    as ``ranked`` does.
+    (float64, trials x 1).  Of equal maxima the first wins.
     """
     scaled = np.array(u.scaled_scores())
     gumbel = Gumbel(0.0)
 
     def kernel(U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        order, top = ranked(scaled + gumbel.inverse_cdf_array(U), 2)
-        return order[:, :1], top[:, :1] - top[:, 1:]
+        return top_gaps(scaled + gumbel.inverse_cdf_array(U), 1)
 
     return len(scaled), kernel, False
 
 
-def categorical_softmax_selector(scaled: Sequence[float], src: RandomSource) -> int:
-    """Inverse-CDF draw from the softmax over the scaled scores."""
+def _softmax_cumulative(scaled: Sequence[float]) -> tuple[list[float], float]:
+    """The running sums of the softmax weights exp(x - max) in index order,
+    and the weights' total."""
     m = max(scaled)
     weights = [math.exp(x - m) for x in scaled]
-    total = sum(weights)
-    u = src.uniform() * total
-    acc = 0.0
-    for i, w in enumerate(weights):
-        acc += w
-        if u < acc:
-            return i
-    return len(weights) - 1
+    return list(itertools.accumulate(weights)), sum(weights)
+
+
+def categorical_softmax_selector(scaled: Sequence[float], src: RandomSource) -> int:
+    """Inverse-CDF draw from the softmax over the scaled scores: the first
+    outcome whose running weight exceeds a uniform share of the total."""
+    cumulative, total = _softmax_cumulative(scaled)
+    return min(bisect.bisect_right(cumulative, src.uniform() * total), len(scaled) - 1)
 
 
 def exp_mech_blackbox_gap(
@@ -169,22 +160,19 @@ def exp_mech_blackbox_batch(u: UtilityTable):
 
     Returns ``(2, kernel, False)``; ``kernel(U)`` maps a (trials, 2)
     uniform matrix (selector draw, gap draw) to every trial's winner (int64,
-    trials x 1) and gap (float64, trials x 1).  The softmax weights are
-    accumulated in :func:`categorical_softmax_selector`'s order, so the
-    inverse-CDF search picks the same outcome.
+    trials x 1) and gap (float64, trials x 1).  It searches the running
+    weights of :func:`_softmax_cumulative`, as the default selector does, so
+    both pick the same outcome.
     """
     scaled = u.scaled_scores()
-    m = max(scaled)
-    weights = [math.exp(x - m) for x in scaled]
-    total = sum(weights)
-    cumulative = np.array(list(itertools.accumulate(weights)))
+    cumulative, total = _softmax_cumulative(scaled)
     last = len(scaled) - 1
     locations = np.array(
         [scaled[s] - log_sum_exp_excluding(scaled, s) for s in range(len(scaled))]
     )
 
     def kernel(U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # The first i whose running weight exceeds u * total, as the selector scans.
+        # The first i whose running weight exceeds u * total, as the selector finds it.
         s = np.minimum(np.searchsorted(cumulative, U[:, 0] * total, side="right"), last)
         return s[:, None], sample_logistic_nonneg_array(locations[s], U[:, 1])[:, None]
 

@@ -133,6 +133,8 @@ class ExperimentConfig:
         for e in self.eps:
             if not e > 0.0:
                 raise ConfigError("eps values must be > 0")
+            if not 0.0 < e * e < math.inf:  # noise variances divide by eps**2
+                raise ConfigError(f"eps {e!r} is out of range: eps**2 must be positive and finite")
         for k in self.k:
             if k < 1:
                 raise ConfigError("k values must be >= 1")

@@ -20,14 +20,13 @@ Monotonic-query scale reductions do not apply to either hybrid.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 
 import numpy as np
 
-from .noise import Exponential, FamilyNoise, RandomSource, ReplaySource, sample
+from .noise import Exponential, FamilyNoise, RandomSource
 from .queries import QuerySet
-from .topk import ranked
+from .topk import ranked, single_run, top_gaps
 
 __all__ = [
     "HybridResult",
@@ -73,6 +72,16 @@ class HybridResult:
         return tuple(gap + threshold for _, gap in self.query_pairs())
 
 
+def _check(q: QuerySet, k: int, eps: float) -> None:
+    n = len(q.values)
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if k > n:
+        raise ValueError(f"need at least k = {k} queries, got {n}")
+    if not eps > 0.0:
+        raise ValueError("eps must be > 0")
+
+
 def hybrid_identity(
     q: QuerySet, threshold: float, k: int, eps: float, src: RandomSource
 ) -> HybridResult:
@@ -81,52 +90,32 @@ def hybrid_identity(
     All values (threshold included) get Exponential(2k/eps) noise; the top
     k+1 noisy values are selected and consecutive gaps emitted until the
     threshold sentinel is reached, which is returned as the final pair.
+    Runs :func:`hybrid_identity_batch`'s kernel on the next n + 1 uniforms.
     """
-    n = len(q.values)
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if k > n:
-        raise ValueError(f"need at least k = {k} queries, got {n}")
-    if not eps > 0.0:
-        raise ValueError("eps must be > 0")
-    kind = Exponential(2.0 * k / eps)
-
-    noisy = [threshold + sample(kind, src)]
-    noisy.extend(value + sample(kind, src) for value in q.values)
-    top = heapq.nlargest(
-        k + 1, ((noisy[i], -i) for i in range(n + 1))
-    )
-    pairs: list[tuple[int, float]] = []
-    for i in range(k):
-        index = -top[i][1]
-        pairs.append((index, top[i][0] - top[i + 1][0]))
-        if index == THRESHOLD_SENTINEL:
-            break
-    t = len(pairs)
-    return HybridResult(tuple(pairs), (t / k) * eps, "identity")
+    draws, kernel, _ = hybrid_identity_batch(q, threshold, k, eps)
+    pairs = single_run(kernel, draws, src)
+    return HybridResult(pairs, (len(pairs) / k) * eps, "identity")
 
 
 def hybrid_identity_batch(q: QuerySet, threshold: float, k: int, eps: float):
-    """Batch kernel of :func:`hybrid_identity` on ``q``, for the audit.
+    """The kernel of :func:`hybrid_identity` on ``q``, which the audit runs
+    directly.
 
     Returns ``(n + 1, kernel, False)``; ``kernel(U)`` maps a (trials, n + 1)
     uniform matrix (threshold draw first) to every trial's released indices
     (int64, -1 after the sentinel) and gaps (float64, NaN after it).
     """
-    n = len(q.values)
-    # One scalar run on a replayed row rejects what the scalar function rejects.
-    hybrid_identity(q, threshold, k, eps, ReplaySource([0.5] * (n + 1)))
+    _check(q, k, eps)
     kind = Exponential(2.0 * k / eps)
     offsets = np.array((threshold,) + q.values)
 
     def kernel(U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        order, top = ranked(offsets + kind.inverse_cdf_array(U), k + 1)
-        codes, gaps = order[:, :k], top[:, :k] - top[:, 1:]
+        codes, gaps = top_gaps(offsets + kind.inverse_cdf_array(U), k)
         sentinel = codes == THRESHOLD_SENTINEL
         past = np.cumsum(sentinel, axis=1) > sentinel
         return np.where(past, -1, codes), np.where(past, np.nan, gaps)
 
-    return n + 1, kernel, False
+    return len(offsets), kernel, False
 
 
 def hybrid_estimates(
@@ -141,45 +130,28 @@ def hybrid_estimates(
 
     Debiased exponential noise (threshold at rate eps0 = theta*eps, queries
     at scale 2/eps1 with eps1 = (1-theta)*eps/k); emits (index, noisy value
-    minus noisy threshold) while the scan stays above the threshold.
+    minus noisy threshold) while the scan stays above the threshold.  Runs
+    :func:`hybrid_estimates_batch`'s kernel on the next n + 1 uniforms.
     """
-    n = len(q.values)
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if k > n:
-        raise ValueError(f"need at least k = {k} queries, got {n}")
-    if not eps > 0.0:
-        raise ValueError("eps must be > 0")
-    if not 0.0 < theta < 1.0:
-        raise ValueError("theta must be in (0, 1)")
-    thr = FamilyNoise("exponential", theta * eps)
-    query = FamilyNoise("exponential", (1.0 - theta) * eps / k, 2.0)
-
-    noisy_threshold = threshold + sample(thr.kind, src) - thr.centre
-    query_kind, b1 = query.kind, query.centre
-    noisy = [value + sample(query_kind, src) - b1 for value in q.values]
-    top = heapq.nlargest(k, ((noisy[i], -i) for i in range(n)))
-    pairs: list[tuple[int, float]] = []
-    for value, neg_index in top:
-        if value < noisy_threshold:
-            break
-        pairs.append((-neg_index, value - noisy_threshold))
+    draws, kernel, _ = hybrid_estimates_batch(q, threshold, k, eps, theta)
+    pairs = single_run(kernel, draws, src)
     t = len(pairs)
-    return HybridResult(tuple(pairs), (theta + (t / k) * (1.0 - theta)) * eps, "estimates")
+    return HybridResult(pairs, (theta + (t / k) * (1.0 - theta)) * eps, "estimates")
 
 
 def hybrid_estimates_batch(
     q: QuerySet, threshold: float, k: int, eps: float, theta: float
 ):
-    """Batch kernel of :func:`hybrid_estimates` on ``q``, for the audit.
+    """The kernel of :func:`hybrid_estimates` on ``q``, which the audit runs
+    directly.
 
     Returns ``(n + 1, kernel, False)``; ``kernel(U)`` maps a (trials, n + 1)
     uniform matrix (threshold draw first) to every trial's released indices
     (int64, -1 padded) and gaps over the noisy threshold (float64, NaN padded).
     """
-    n = len(q.values)
-    # One scalar run on a replayed row rejects what the scalar function rejects.
-    hybrid_estimates(q, threshold, k, eps, theta, ReplaySource([0.5] * (n + 1)))
+    _check(q, k, eps)
+    if not 0.0 < theta < 1.0:
+        raise ValueError("theta must be in (0, 1)")
     thr = FamilyNoise("exponential", theta * eps)
     query = FamilyNoise("exponential", (1.0 - theta) * eps / k, 2.0)
     threshold_kind, b0 = thr.kind, thr.centre
@@ -192,4 +164,4 @@ def hybrid_estimates_batch(
         above = np.logical_and.accumulate(top >= noisy_threshold, axis=1)
         return np.where(above, order, -1), np.where(above, top - noisy_threshold, np.nan)
 
-    return n + 1, kernel, False
+    return len(values) + 1, kernel, False

@@ -1,19 +1,22 @@
 """Noise primitives: distributions, inverse-CDF samplers and uniform streams.
 
-Every mechanism in this package draws randomness exclusively through
-:func:`sample` (or :func:`sample_logistic_nonneg`) applied to a
+Every mechanism in this package reads its randomness as uniforms from a
 :class:`RandomSource`, so a mechanism run is a deterministic function of its
 source.  :class:`SeededSource` gives reproducible pseudo-random streams;
 :class:`ReplaySource` replays a fixed list of uniforms, which is what makes
 exact zero-noise hand traces testable.
 
-The audit's batch kernels draw a whole matrix of uniforms at once
-(:meth:`RandomSource.uniform_matrix`) and map it through the array forms
-``inverse_cdf_array`` and :func:`sample_logistic_nonneg_array`.  Each array
-form applies the same floating-point operations as its scalar twin, so the
-two agree up to the last-ulp differences between numpy's and ``math``'s
-``log``/``log1p``/``exp``; a draw of exactly 0 maps to the same value
-(-inf for Laplace and Gumbel).
+The sparse-vector scans and the black-box exponential mechanism draw one
+value at a time through :func:`sample` and :func:`sample_logistic_nonneg`.
+The fixed-draw mechanisms (top-k, the hybrids, Gumbel-max) run their batch
+kernel: they take a (1, draws) row from :meth:`RandomSource.uniform_matrix`,
+and the audit takes a whole (trials, draws) matrix of the same stream.  A
+kernel maps its matrix through the array forms ``inverse_cdf_array`` and
+:func:`sample_logistic_nonneg_array`.  Each array form applies the same
+floating-point operations as its scalar twin, so the two agree up to the
+last-ulp differences between numpy's and ``math``'s ``log``/``log1p``/
+``exp``; a draw of exactly 0 maps to the same value (-inf for Laplace and
+Gumbel).
 
 Distribution conventions:
 

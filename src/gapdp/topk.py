@@ -9,12 +9,11 @@ is charged ``epsilon`` (``epsilon/2`` for monotonic counting queries).
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 
 import numpy as np
 
-from .noise import FamilyNoise, NoiseKind, RandomSource, ReplaySource, sample
+from .noise import FamilyNoise, NoiseKind, RandomSource
 from .queries import QuerySet
 
 __all__ = ["TopKResult", "gap_topk", "gap_topk_batch", "pairwise_gap"]
@@ -53,7 +52,17 @@ def gap_topk(
     Requires k+1 <= n so a runner-up exists.  Ties among noisy values break
     toward the lowest index (a probability-zero event for continuous noise;
     see audit.tie_probability_bound for the discretized-noise failure rate).
+    Runs :func:`gap_topk_batch`'s kernel on the next n uniforms of ``src``.
     """
+    draws, kernel, _ = gap_topk_batch(q, k, eps, noise)
+    if src is None:
+        raise ValueError("gap_topk needs a RandomSource, e.g. src=SeededSource(seed)")
+    charged = eps / 2.0 if q.monotonic else eps
+    return TopKResult(single_run(kernel, draws, src), charged)
+
+
+def _selection_noise(q: QuerySet, k: int, eps: float, noise: str) -> NoiseKind:
+    """The per-query noise of a top-k selection, after checking its arguments."""
     n = len(q.values)
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -61,23 +70,6 @@ def gap_topk(
         raise ValueError(f"need at least k+1 = {k + 1} queries, got {n}")
     if not eps > 0.0:
         raise ValueError("eps must be > 0")
-    if src is None:
-        raise ValueError("gap_topk needs a RandomSource, e.g. src=SeededSource(seed)")
-    kind = _selection_noise(k, eps, noise)
-
-    # Single selection pass over (value, -index) keeps the lowest index on ties.
-    top = heapq.nlargest(
-        k + 1,
-        ((q.values[i] + sample(kind, src), -i) for i in range(n)),
-    )
-    pairs = tuple(
-        (-top[i][1], top[i][0] - top[i + 1][0]) for i in range(k)
-    )
-    charged = eps / 2.0 if q.monotonic else eps
-    return TopKResult(pairs, charged)
-
-
-def _selection_noise(k: int, eps: float, noise: str) -> NoiseKind:
     selection = FamilyNoise(noise, eps, 2.0 * k)
     if selection.family == "geometric":
         raise ValueError(f"noise must be laplace or exponential, got {noise!r}")
@@ -86,30 +78,43 @@ def _selection_noise(k: int, eps: float, noise: str) -> NoiseKind:
 
 def ranked(noisy: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
     """Per row, the indices and values of the ``count`` largest entries in
-    descending order, ties to the lowest index (as ``heapq.nlargest`` over
-    ``(value, -index)`` orders them)."""
+    descending order.  Equal entries keep their index order, so ties go to
+    the lowest index, and a -inf entry (the noise of a zero draw) ranks last."""
     order = np.argsort(-noisy, axis=1, kind="stable")[:, :count]
-    return order, np.take_along_axis(noisy, order, axis=1)
+    return order, noisy[np.arange(len(noisy))[:, None], order]
+
+
+def top_gaps(noisy: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per row, the indices of the ``k`` largest entries as :func:`ranked`
+    orders them, and the gap from each to the next ranked entry."""
+    order, top = ranked(noisy, k + 1)
+    with np.errstate(invalid="ignore"):  # -inf minus -inf: a NaN gap
+        return order[:, :k], top[:, :k] - top[:, 1:]
+
+
+def single_run(kernel, draws: int, src: RandomSource) -> tuple[tuple[int, float], ...]:
+    """The (index, gap) pairs ``kernel`` gives for one trial on the next
+    ``draws`` uniforms of ``src``, with the -1 padding dropped."""
+    codes, gaps = kernel(src.uniform_matrix(1, draws))
+    return tuple(
+        (c, g) for c, g in zip(codes[0].tolist(), gaps[0].tolist()) if c != -1
+    )
 
 
 def gap_topk_batch(q: QuerySet, k: int, eps: float, noise: str = "laplace"):
-    """Batch kernel of :func:`gap_topk` on ``q``, for the audit.
+    """The kernel of :func:`gap_topk` on ``q``, which the audit runs directly.
 
     Returns ``(n, kernel, False)``; ``kernel(U)`` maps a (trials, n) uniform
     matrix to every trial's selected indices (int64, trials x k) and gaps
     (float64, trials x k).
     """
-    n = len(q.values)
-    # One scalar run on a replayed row rejects what the scalar function rejects.
-    gap_topk(q, k, eps, noise, ReplaySource([0.5] * n))
-    kind = _selection_noise(k, eps, noise)
+    kind = _selection_noise(q, k, eps, noise)
     values = np.array(q.values)
 
     def kernel(U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        order, top = ranked(values + kind.inverse_cdf_array(U), k + 1)
-        return order[:, :k], top[:, :k] - top[:, 1:]
+        return top_gaps(values + kind.inverse_cdf_array(U), k)
 
-    return n, kernel, False
+    return len(values), kernel, False
 
 
 def pairwise_gap(r: TopKResult, a: int, b: int) -> float:

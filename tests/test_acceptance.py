@@ -2,8 +2,10 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines.  The million-trial privacy audit (criterion 07) runs on the numpy
-batch kernels, which ``tests/test_audit_kernels.py`` pins to the scalar
-mechanisms, and takes seconds rather than minutes.
+batch kernels, which ``tests/test_audit_kernels.py`` pins to independent
+references, and takes seconds rather than minutes.  The Gumbel-max samples
+of criteria 05 and 06 are drawn as one uniform matrix through the kernel
+that ``exp_mech_gumbel`` runs, which gives the samples of a per-call loop.
 """
 
 import math
@@ -16,7 +18,7 @@ from scipy import stats
 from gapdp.expmech import (
     UtilityTable,
     exp_mech_blackbox_gap,
-    exp_mech_gumbel,
+    exp_mech_gumbel_batch,
     log_sum_exp_excluding,
 )
 from gapdp.harness import ExperimentConfig, run_audit_suite, run_experiment
@@ -26,6 +28,8 @@ from gapdp.postprocess import BlueInput, VarianceModel, blue_topk, blue_variance
 from gapdp.queries import QuerySet, TransactionDB, item_counts, load_transactions
 from gapdp.svt import SvtConfig, adaptive_svt, gap_svt, lower_confidence_t, tail_probability, theta_optimal
 from gapdp.topk import gap_topk, pairwise_gap
+
+from conftest import kernel_runs
 
 SEPARATED = "n=60,step=2000,base=10000,order=desc"
 SEPARATED_WIDE = "n=100,step=2000,base=10000,order=desc"
@@ -136,10 +140,8 @@ def test_criterion_05_gumbel_max_correctness():
     table = UtilityTable(scaled, 1.0, 2.0)  # epsilon/(2*sens) = 1
     assert table.scaled_scores() == scaled
 
-    counts = np.zeros(4)
-    src = SeededSource(50)
-    for _ in range(runs):
-        counts[exp_mech_gumbel(table, src).selected] += 1
+    selected, _ = kernel_runs(exp_mech_gumbel_batch(table), runs, 50)
+    counts = np.bincount(selected[:, 0], minlength=4)
     weights = np.exp(np.asarray(scaled))
     softmax = weights / weights.sum()
     freq_err = np.abs(counts / runs - softmax).max()
@@ -159,16 +161,13 @@ def test_criterion_06_theorem7_equivalence():
     runs = 100_000
     table = UtilityTable((0.0, 1.0, 2.0), 1.0, 2.0)  # scaled scores (0, 1, 2)
 
-    def gather(mechanism, seed):
-        out = {i: [] for i in range(3)}
-        src = SeededSource(seed)
-        for _ in range(runs):
-            r = mechanism(table, src)
-            out[r.selected].append(r.gap)
-        return out
-
-    gumbel = gather(exp_mech_gumbel, 60)
-    blackbox = gather(exp_mech_blackbox_gap, 61)
+    selected, gaps = kernel_runs(exp_mech_gumbel_batch(table), runs, 60)
+    gumbel = {i: gaps[selected == i] for i in range(3)}
+    blackbox = {i: [] for i in range(3)}
+    src = SeededSource(61)
+    for _ in range(runs):
+        r = exp_mech_blackbox_gap(table, src)
+        blackbox[r.selected].append(r.gap)
     for s in range(3):
         freq_diff = abs(len(gumbel[s]) - len(blackbox[s])) / runs
         assert freq_diff < 0.01, s

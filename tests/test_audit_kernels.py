@@ -1,11 +1,14 @@
-"""The audit's batch kernels against the scalar mechanisms they stand for.
+"""The audit's batch kernels against independent loop references.
 
-An audit on the batch path certifies the kernel, not the scalar function,
-so these tests pin each kernel to its scalar mechanism row by row: for a
-uniform matrix U, the kernel's row r must equal the scalar mechanism run on
-``ReplaySource(U[r])``.  Discrete outputs must match exactly; gaps to a
-relative 1e-12, the room numpy's and ``math``'s ``log1p``/``log``/``exp``
-leave between them.
+An audit on the batch path certifies the kernel.  For the fixed-draw
+mechanisms (top-k, the hybrids, the Gumbel-max exponential mechanism) the
+kernel is also what the public function runs, so the references here are
+short loops of their own: ``heapq.nlargest`` over ``(value, -index)`` and the
+scalar ``inverse_cdf``.  The sparse-vector kernels stand for the scalar scan,
+which stays the public implementation and is the reference for them.  For a
+uniform matrix U, the kernel's row r must equal the reference on ``U[r]``.
+Discrete outputs must match exactly; gaps to a relative 1e-12, the room
+numpy's and ``math``'s ``log1p``/``log``/``exp`` leave between them.
 
 Run alone with ``python -X dev -W error::RuntimeWarning -m pytest
 tests/test_audit_kernels.py``; the module also turns RuntimeWarnings into
@@ -13,6 +16,7 @@ errors itself, so no overflow or divide warning can leak from a kernel.
 """
 
 import dataclasses
+import heapq
 import itertools
 import math
 from types import SimpleNamespace
@@ -22,6 +26,7 @@ import pytest
 
 from gapdp import audit, svt
 from gapdp.audit import AuditConfig, as_audit_output, estimate_epsilon
+from gapdp.expmech import UtilityTable
 from gapdp.harness import standard_audit_cases
 from gapdp.noise import (
     Exponential,
@@ -39,13 +44,89 @@ from gapdp.svt import SvtConfig, adaptive_svt, gap_svt, svt_batch
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
-CASES = {case.name: case for case in standard_audit_cases(1.0)}
+EPS = 1.0
+CASES = {case.name: case for case in standard_audit_cases(EPS)}
 TOP = 1.0 - 2.0**-53  # the largest double below 1
 
 
 def scalar_only(mech):
     """The same mechanism without its kernel: the auditor's scalar path."""
     return lambda qs, src: mech(qs, src)
+
+
+# Loop references for the fixed-draw cases, at the parameters
+# standard_audit_cases gives them.  Each maps (data, row) to the released
+# (indices, gaps).
+
+def noisy(values, kind, row):
+    return [v + kind.inverse_cdf(u) for v, u in zip(values, row)]
+
+
+def top_reference(noisy_values, k):
+    """The k largest noisy values, ties to the lowest index, and the gap from
+    each to the next of the k+1 largest."""
+    top = heapq.nlargest(k + 1, ((x, -i) for i, x in enumerate(noisy_values)))
+    return tuple(-i for _, i in top[:k]), [a - b for (a, _), (b, _) in zip(top, top[1:])]
+
+
+def gap_topk_reference(kind):
+    return lambda data, row: top_reference(noisy(data.values, kind, row), 1)
+
+
+def hybrid_identity_reference(data, row, threshold=0.5, k=2):
+    kind = Exponential(2.0 * k / EPS)
+    indices, gaps = top_reference(noisy((threshold,) + data.values, kind, row), k)
+    t = indices.index(0) + 1 if 0 in indices else k  # stop at the threshold sentinel
+    return indices[:t], gaps[:t]
+
+
+def hybrid_estimates_reference(data, row, threshold=0.5, k=2, theta=0.5):
+    b0, b1 = 1.0 / (theta * EPS), 2.0 / ((1.0 - theta) * EPS / k)
+    noisy_threshold = threshold + Exponential(b0).inverse_cdf(row[0]) - b0
+    debiased = [x - b1 for x in noisy(data.values, Exponential(b1), row[1:])]
+    top = heapq.nlargest(k, ((x, -i) for i, x in enumerate(debiased)))
+    above = list(itertools.takewhile(lambda pair: pair[0] >= noisy_threshold, top))
+    return tuple(-i for _, i in above), [x - noisy_threshold for x, _ in above]
+
+
+def scaled(data):
+    return UtilityTable(data.values, 1.0, EPS).scaled_scores()
+
+
+def gumbel_reference(data, row):
+    return top_reference(noisy(scaled(data), Gumbel(0.0), row), 1)
+
+
+def blackbox_reference(data, row):
+    x = scaled(data)
+    weights = [math.exp(v - max(x)) for v in x]
+    u, acc, s = row[0] * sum(weights), 0.0, len(x) - 1
+    for i, w in enumerate(weights):
+        acc += w
+        if u < acc:
+            s = i
+            break
+    rest = [v for i, v in enumerate(x) if i != s]
+    location = x[s] - max(rest) - math.log(sum(math.exp(v - max(rest)) for v in rest))
+    return (s,), [sample_logistic_nonneg(location, ReplaySource(row[1:]))]
+
+
+REFERENCES = {
+    "gap_topk_laplace": gap_topk_reference(Laplace(2.0 / EPS)),
+    "gap_topk_exponential": gap_topk_reference(Exponential(2.0 / EPS)),
+    "hybrid_identity": hybrid_identity_reference,
+    "hybrid_estimates": hybrid_estimates_reference,
+    "exp_mech_gumbel": gumbel_reference,
+    "exp_mech_blackbox": blackbox_reference,
+}
+
+
+def public_call(mech):
+    """The public mechanism on one row, and how many draws it read."""
+    def run(data, row):
+        source = ReplaySource(row)
+        return (*as_audit_output(mech(data, source)), len(row) - source.remaining)
+    return run
 
 
 def inputs(case):
@@ -61,19 +142,21 @@ def hand_picked(draws):
     return np.array(list(rows), dtype=np.float64)
 
 
-def assert_rows_match(mech, data, U):
+def assert_rows_match(mech, data, U, reference):
+    """Kernel row r against ``reference(data, U[r])``: (indices, gaps), and
+    for a kernel that stops early also the draws read."""
     draws, kernel, early_stop = mech.batch(data)
     assert U.shape[1] == draws
     codes, gaps, *used = kernel(U)
     assert codes.dtype == np.int64 and gaps.dtype == np.float64
     assert len(used) == early_stop
     for r, row in enumerate(U):
-        source = ReplaySource(row)
-        discrete, reals = as_audit_output(mech(data, source))
-        assert (used[0][r] if early_stop else draws) == draws - source.remaining, (r, row)
+        discrete, reals, *read = reference(data, row)
+        if early_stop:
+            assert used[0][r] == read[0], (r, row)
         got_codes = tuple(int(c) for c in codes[r] if c != -1)
         got_gaps = [float(g) for g in gaps[r] if not math.isnan(g)]
-        assert got_codes == discrete, (r, row)
+        assert got_codes == tuple(discrete), (r, row)
         assert len(got_gaps) == len(reals), (r, row)
         for got, want in zip(got_gaps, reals):
             assert math.isclose(got, want, rel_tol=1e-12, abs_tol=1e-12), (r, row, got, want)
@@ -82,11 +165,34 @@ def assert_rows_match(mech, data, U):
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_kernel_matches_scalar_mechanism(name):
     case = CASES[name]
+    reference = REFERENCES.get(name, public_call(case.mech))
     rng = np.random.default_rng(sorted(CASES).index(name))
     for data in inputs(case):
         draws = case.mech.batch(data)[0]
-        assert_rows_match(case.mech, data, rng.random((5000, draws)))
-        assert_rows_match(case.mech, data, hand_picked(draws))
+        assert_rows_match(case.mech, data, rng.random((5000, draws)), reference)
+        assert_rows_match(case.mech, data, hand_picked(draws), reference)
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCES))
+def test_public_call_is_kernel_row(name):
+    # A fixed-draw public call reads exactly the kernel's draws and releases
+    # its row 0.  The black-box mechanism keeps its selector protocol, so its
+    # public call is a loop of its own and agrees with the kernel's row to
+    # the same 1e-12 as the references.
+    case = CASES[name]
+    rng = np.random.default_rng(41)
+    for data in inputs(case):
+        draws, kernel, _ = case.mech.batch(data)
+        for row in np.vstack([rng.random((200, draws)), hand_picked(draws)[:200]]):
+            discrete, reals, read = public_call(case.mech)(data, row)
+            codes, gaps = kernel(row[None, :])
+            assert read == draws
+            assert discrete == tuple(c for c in codes[0].tolist() if c != -1), row
+            row_gaps = [g for g in gaps[0].tolist() if not math.isnan(g)]
+            if name == "exp_mech_blackbox":
+                assert reals == pytest.approx(row_gaps, rel=1e-12, abs=1e-12), row
+            else:
+                assert list(reals) == row_gaps, row
 
 
 @pytest.mark.parametrize("noise", ["laplace", "exponential", "geometric"])

@@ -8,9 +8,12 @@ from gapdp.expmech import (
     UtilityTable,
     exp_mech_blackbox_gap,
     exp_mech_gumbel,
+    exp_mech_gumbel_batch,
     log_sum_exp_excluding,
 )
-from gapdp.noise import Gumbel, SeededSource, sample
+from gapdp.noise import Gumbel, ReplaySource, SeededSource, sample
+
+from conftest import kernel_runs
 
 
 def softmax(xs):
@@ -58,16 +61,31 @@ def _selection_frequencies(mechanism, table, runs, seed):
     return counts / runs
 
 
+def gumbel_runs(table, runs, seed):
+    selected, gaps = kernel_runs(exp_mech_gumbel_batch(table), runs, seed)
+    return selected[:, 0], gaps[:, 0]
+
+
+def gumbel_frequencies(table, runs, seed):
+    selected, _ = gumbel_runs(table, runs, seed)
+    return np.bincount(selected, minlength=len(table.scores)) / runs
+
+
+def gumbel_gap_samples(table, runs, seed):
+    selected, gaps = gumbel_runs(table, runs, seed)
+    return {i: gaps[selected == i] for i in range(len(table.scores))}
+
+
 class TestGumbelMechanism:
     def test_equal_utilities_are_symmetric(self):
         table = UtilityTable((3.0, 3.0), 1.0, 1.0)
-        freq = _selection_frequencies(exp_mech_gumbel, table, 100_000, 0)
+        freq = gumbel_frequencies(table, 100_000, 0)
         assert freq[0] == pytest.approx(0.5, abs=0.005)
 
     def test_matches_softmax_probabilities(self):
         # Scaled scores (ln 1, ln 2) select with probabilities (1/3, 2/3).
         table = UtilityTable((0.0, math.log(2.0)), 1.0, 2.0)
-        freq = _selection_frequencies(exp_mech_gumbel, table, 100_000, 1)
+        freq = gumbel_frequencies(table, 100_000, 1)
         assert freq[0] == pytest.approx(1.0 / 3.0, abs=0.01)
         assert freq[1] == pytest.approx(2.0 / 3.0, abs=0.01)
 
@@ -92,17 +110,23 @@ class TestGumbelMechanism:
         assert a == b
         assert a.gap > 0.0
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_zero_draws_give_a_nan_gap_without_a_warning(self):
+        table = UtilityTable((0.0, 1.0, 1.0), 1.0, 1.0)
+        result = exp_mech_gumbel(table, ReplaySource([0.0] * 3))
+        assert result.selected == 0
+        assert math.isnan(result.gap)
+
     def test_survival_form(self):
         # P(outcome s selected and gap >= g) = sigmoid(x_s - g - lse_rest).
         table = UtilityTable((0.0, 1.0, 2.0), 1.0, 2.0)
         scaled = table.scaled_scores()
         runs = 200_000
-        src = SeededSource(4)
-        results = [exp_mech_gumbel(table, src) for _ in range(runs)]
+        selected, gaps = gumbel_runs(table, runs, 4)
         for s in range(3):
             rest = log_sum_exp_excluding(scaled, s)
             for g in (0.0, 0.5, 1.5):
-                empirical = sum(r.selected == s and r.gap >= g for r in results) / runs
+                empirical = np.count_nonzero((selected == s) & (gaps >= g)) / runs
                 expected = 1.0 / (1.0 + math.exp(-(scaled[s] - g - rest)))
                 assert empirical == pytest.approx(expected, abs=0.006)
 
@@ -150,7 +174,7 @@ def _gap_samples(mechanism, table, runs, seed):
 def test_blackbox_matches_gumbel_joint_distribution():
     table = UtilityTable((0.0, 1.0, 2.0), 1.0, 2.0)
     runs = 100_000
-    gumbel = _gap_samples(exp_mech_gumbel, table, runs, 10)
+    gumbel = gumbel_gap_samples(table, runs, 10)
     blackbox = _gap_samples(exp_mech_blackbox_gap, table, runs, 11)
     for s in range(3):
         f1 = len(gumbel[s]) / runs
@@ -165,8 +189,8 @@ def test_shift_invariance_of_utilities():
     base = UtilityTable((0.0, 1.0, 2.0), 1.0, 1.0)
     shifted = UtilityTable((10.0, 11.0, 12.0), 1.0, 1.0)
     runs = 100_000
-    a = _gap_samples(exp_mech_gumbel, base, runs, 12)
-    b = _gap_samples(exp_mech_gumbel, shifted, runs, 13)
+    a = gumbel_gap_samples(base, runs, 12)
+    b = gumbel_gap_samples(shifted, runs, 13)
     for s in range(3):
         assert abs(len(a[s]) / runs - len(b[s]) / runs) < 0.01
         assert stats.ks_2samp(a[s], b[s]).statistic < 0.02

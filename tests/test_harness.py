@@ -291,6 +291,16 @@ class TestCli:
         assert main(["mse-reduction-topk", "--eps", "abc"]) == 1
         capsys.readouterr()
 
+    @pytest.mark.parametrize("experiment", ["mse-reduction-topk", "adaptive-counts"])
+    @pytest.mark.parametrize("eps", ["inf", "nan", "1e-320", "1e308", "-1"])
+    def test_extreme_eps_is_a_config_error(self, capsys, experiment, eps):
+        code = main([
+            experiment, "--synthetic", "n=30,step=5,base=10", "--eps", f"0.5,{eps}",
+            "--k", "2", "--trials", "5",
+        ])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("gapdp: config error: eps")
+
     def test_audit_error_names_the_case(self, capsys):
         assert main(["audit", "--trials", "20000", "--seed", "0"]) == 1
         err = capsys.readouterr().err
@@ -322,10 +332,11 @@ class TestCli:
 #
 # The harness runs each (eps, k) cell as array code over chunks of trials.
 # This reference runs the same experiments one trial at a time through the
-# scalar mechanisms, reading trial t's stream draw by draw.  Its noise comes
-# from ``math``'s log1p where the kernels use numpy's, which differ in the
-# last bit, so the MSE statistics agree to 1e-9 relative and at the 6
-# digits written out; counts, precision and budget fractions agree exactly.
+# public mechanisms, one call per trial on trial t's own stream.  Its
+# sparse-vector and measurement noise comes from ``math``'s log1p where the
+# kernels use numpy's, which differ in the last bit, so the MSE statistics
+# agree to 1e-9 relative and at the 6 digits written out; counts, precision
+# and budget fractions agree exactly.
 
 def trial_source(cfg, t, stream=0):
     return SeededSource(np.random.SeedSequence(cfg.seed, spawn_key=(t, stream)))

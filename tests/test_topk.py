@@ -1,9 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 
 from gapdp.noise import Exponential, Laplace, ReplaySource, SeededSource, sample
 from gapdp.queries import QuerySet
-from gapdp.topk import gap_topk, pairwise_gap
+from gapdp.topk import gap_topk, gap_topk_batch, pairwise_gap
+
+from conftest import kernel_runs
 
 
 def zero_source(n, family="laplace"):
@@ -36,6 +40,14 @@ def test_missing_source_is_a_clear_error():
 def test_tie_break_prefers_lowest_index():
     result = gap_topk(QuerySet((7.0, 7.0, 7.0)), 2, 1.0, "laplace", zero_source(3))
     assert result.indices == (0, 1)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_zero_draws_give_nan_gaps_without_a_warning():
+    # A draw of exactly 0 is -inf Laplace noise; equal -inf values tie.
+    result = gap_topk(QuerySet((0.0, 1.0, 1.0)), 2, 1.0, "laplace", ReplaySource([0.0] * 3))
+    assert result.indices == (0, 1)
+    assert all(math.isnan(gap) for gap in result.gaps)
 
 
 def test_pairwise_gap_sums_and_bounds():
@@ -97,11 +109,8 @@ def test_shift_invariance_under_replay():
 def test_equal_values_selected_uniformly():
     n, runs = 4, 100_000
     qs = QuerySet((5.0,) * n)
-    hits = np.zeros(n)
-    src = SeededSource(0)
-    for _ in range(runs):
-        hits[gap_topk(qs, 1, 1.0, "laplace", src).indices[0]] += 1
-    freq = hits / runs
+    indices, _ = kernel_runs(gap_topk_batch(qs, 1, 1.0, "laplace"), runs, 0)
+    freq = np.bincount(indices[:, 0], minlength=n) / runs
     sigma = np.sqrt((1 / n) * (1 - 1 / n) / runs)
     assert np.all(np.abs(freq - 1 / n) < 3.5 * sigma)
 
@@ -117,13 +126,9 @@ def well_separated(n):
 
 
 def _pairwise_gap_samples(noise, k, eps, runs, a, b):
-    qs = well_separated(k + 3)
-    out = np.empty(runs)
-    src = SeededSource(17)
-    for trial in range(runs):
-        result = gap_topk(qs, k, eps, noise, src)
-        out[trial] = pairwise_gap(result, a, b)
-    return out
+    # pairwise_gap's telescoping sum, row by row.
+    _, gaps = kernel_runs(gap_topk_batch(well_separated(k + 3), k, eps, noise), runs, 17)
+    return gaps[:, a - 1:b - 1].sum(axis=1)
 
 
 def test_pairwise_gap_variance_matches_theory():

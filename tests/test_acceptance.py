@@ -161,13 +161,17 @@ def test_criterion_06_theorem7_equivalence():
     runs = 100_000
     table = UtilityTable((0.0, 1.0, 2.0), 1.0, 2.0)  # scaled scores (0, 1, 2)
 
+    def gather(mechanism, seed):
+        out = {i: [] for i in range(3)}
+        src = SeededSource(seed)
+        for _ in range(runs):
+            r = mechanism(table, src)
+            out[r.selected].append(r.gap)
+        return out
+
     selected, gaps = kernel_runs(exp_mech_gumbel_batch(table), runs, 60)
     gumbel = {i: gaps[selected == i] for i in range(3)}
-    blackbox = {i: [] for i in range(3)}
-    src = SeededSource(61)
-    for _ in range(runs):
-        r = exp_mech_blackbox_gap(table, src)
-        blackbox[r.selected].append(r.gap)
+    blackbox = gather(exp_mech_blackbox_gap, 61)
     for s in range(3):
         freq_diff = abs(len(gumbel[s]) - len(blackbox[s])) / runs
         assert freq_diff < 0.01, s

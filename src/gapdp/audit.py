@@ -26,12 +26,13 @@ run in chunks of at most 4096 rows, each binned with one ``np.unique``.
 A callable without the attribute (or any wrapper around one, since
 ``__wrapped__`` is never followed) runs one scalar call per trial.  Either
 way the audit certifies what actually ran.  On the batch path that is the
-kernel.  For the fixed-draw mechanisms (top-k, the hybrids, Gumbel-max) the
-kernel is also the released mechanism, since the public function runs it on
-one row.  The sparse-vector scans and the black-box exponential mechanism
-keep their scalar public forms.  The oracle tests in
+kernel.  For every mechanism but the black-box exponential mechanism the
+kernel is also the released mechanism: a fixed-draw public function (top-k,
+the hybrids, Gumbel-max) runs it on one row, and a sparse-vector scan runs
+it on one look-ahead window of its source.  The black-box exponential
+mechanism keeps its scalar public form.  The oracle tests in
 ``tests/test_audit_kernels.py`` pin every kernel row by row to an
-independent loop reference, or for the scans to the scalar scan.
+independent loop reference.
 
 Trials are independent, so the per-input histograms may be sharded across
 workers and merged by summing counts.
@@ -143,15 +144,7 @@ def _(result: tuple):
 
 @as_audit_output.register
 def _(result: SvtResult):
-    tags = []
-    gaps = []
-    for item in result.items:
-        if not item.above:
-            tags.append(0)
-        else:
-            tags.append(1 if item.branch == "middle" else 2)
-            gaps.append(item.gap)
-    return tuple(tags), tuple(gaps)
+    return result.audit_output()
 
 
 @as_audit_output.register

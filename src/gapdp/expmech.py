@@ -19,7 +19,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -53,6 +53,8 @@ class UtilityTable:
     scores: tuple[float, ...]
     sensitivity: float
     epsilon: float
+    #: :meth:`scaled_scores` as a read-only float64 array, built once.
+    scaled_array: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         vals = tuple(float(v) for v in self.scores)
@@ -63,9 +65,12 @@ class UtilityTable:
         if not self.epsilon > 0.0:
             raise ValueError("epsilon must be > 0")
         object.__setattr__(self, "scores", vals)
-        for x in self.scaled_scores():
-            if not math.isfinite(x):
-                raise ValueError(f"scaled score {x} is not finite")
+        scaled = np.array(self.scaled_scores())
+        finite = np.isfinite(scaled)
+        if not finite.all():
+            raise ValueError(f"scaled score {scaled[~finite][0]} is not finite")
+        scaled.flags.writeable = False
+        object.__setattr__(self, "scaled_array", scaled)
 
     def scaled_scores(self) -> tuple[float, ...]:
         """x_i = epsilon * score_i / (2 * sensitivity); the only scale used."""
@@ -110,7 +115,7 @@ def exp_mech_gumbel_batch(u: UtilityTable):
     uniform matrix to every trial's winner (int64, trials x 1) and gap
     (float64, trials x 1).  Of equal maxima the first wins.
     """
-    scaled = np.array(u.scaled_scores())
+    scaled = u.scaled_array
     gumbel = Gumbel(0.0)
 
     def kernel(U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

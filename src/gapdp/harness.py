@@ -325,14 +325,15 @@ def _mse_reduction_svt(cfg: ExperimentConfig, qs: QuerySet) -> list[dict]:
                 some = m > 0
                 m, used, thresholds = m[some], used[some], thresholds[some]
                 width = int(m.max(initial=0))
-                # Answered queries first, in scan order, as their gaps are.
+                # Answered queries first, in scan order, with their gaps.
                 index = np.argsort(~answered[some], axis=1, kind="stable")[:, :width]
                 true = values[index]
+                gaps = np.take_along_axis(gaps[some], index, axis=1)
                 u = np.take_along_axis(U[some], 1 + used[:, None] + np.arange(width), axis=1)
                 # Laplace(2m/eps) noise: scaling unit noise rounds as drawing
                 # at the scale does, both being one product with log1p's value.
                 alphas = true + (2.0 * m / eps)[:, None] * Laplace(1.0).inverse_cdf_array(u)
-                betas = fuse_svt_rows(gaps[some][:, :width] + thresholds[:, None], alphas,
+                betas = fuse_svt_rows(gaps + thresholds[:, None], alphas,
                                       (8.0 * m * m / (eps * eps))[:, None], model.var_gap)
                 slot = np.arange(width) < m[:, None]
                 trial = np.broadcast_to(np.asarray(trials)[some][:, None], slot.shape)

@@ -107,7 +107,7 @@ def hybrid_identity_batch(q: QuerySet, threshold: float, k: int, eps: float):
     """
     _check(q, k, eps)
     kind = Exponential(2.0 * k / eps)
-    offsets = np.array((threshold,) + q.values)
+    offsets = np.concatenate([[threshold], q.value_array])
 
     def kernel(U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         codes, gaps = top_gaps(offsets + kind.inverse_cdf_array(U), k)
@@ -156,7 +156,7 @@ def hybrid_estimates_batch(
     query = FamilyNoise("exponential", (1.0 - theta) * eps / k, 2.0)
     threshold_kind, b0 = thr.kind, thr.centre
     query_kind, b1 = query.kind, query.centre
-    values = np.array(q.values)
+    values = q.value_array
 
     def kernel(U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         noisy_threshold = threshold + threshold_kind.inverse_cdf_array(U[:, :1]) - b0

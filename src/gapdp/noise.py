@@ -6,12 +6,15 @@ source.  :class:`SeededSource` gives reproducible pseudo-random streams;
 :class:`ReplaySource` replays a fixed list of uniforms, which is what makes
 exact zero-noise hand traces testable.
 
-The sparse-vector scans and the black-box exponential mechanism draw one
-value at a time through :func:`sample` and :func:`sample_logistic_nonneg`.
-The fixed-draw mechanisms (top-k, the hybrids, Gumbel-max) run their batch
-kernel: they take a (1, draws) row from :meth:`RandomSource.uniform_matrix`,
-and the audit takes a whole (trials, draws) matrix of the same stream.  A
-kernel maps its matrix through the array forms ``inverse_cdf_array`` and
+The black-box exponential mechanism draws one value at a time through
+:func:`sample_logistic_nonneg`.  Every other mechanism runs its batch
+kernel.  The fixed-draw ones (top-k, the hybrids, Gumbel-max) take a
+(1, draws) row from :meth:`RandomSource.uniform_matrix`.  The sparse-vector
+scans stop early, so they read ahead with :meth:`RandomSource.peek` and then
+consume with :meth:`RandomSource.advance` only the draws the scan used.  The
+audit takes a whole (trials, draws) matrix of the same stream.  A kernel
+maps its matrix through the array forms ``inverse_cdf_array`` (or, for one
+family at several scales, ``unit_array`` and ``from_unit``) and
 :func:`sample_logistic_nonneg_array`.  Each array form applies the same
 floating-point operations as its scalar twin, so the two agree up to the
 last-ulp differences between numpy's and ``math``'s ``log``/``log1p``/
@@ -72,6 +75,15 @@ class RandomSource:
 
     A source is single-owner: do not share one instance across concurrent
     tasks.  Concurrent runs should each construct their own seeded source.
+
+    Besides :meth:`uniform`, a source offers a look-ahead: :meth:`peek`
+    returns the next draws without consuming them, and :meth:`advance`
+    consumes them.  ``peek(n)`` followed by ``advance(m)``, m <= n, leaves
+    the stream where m calls of ``uniform()`` leave it, and the peeked
+    values are the ones those calls return.  The sparse-vector scans read
+    this way: they cannot know beforehand how many draws they take.  A
+    subclass that defines only ``uniform()`` cannot serve them and raises
+    ``NotImplementedError`` there.
     """
 
     def uniform(self) -> float:
@@ -85,6 +97,27 @@ class RandomSource:
             [self.uniform() for _ in range(rows * cols)], dtype=np.float64
         ).reshape(rows, cols)
 
+    def peek(self, n: int) -> np.ndarray:
+        """The next ``n`` uniforms as a read-only float64 array, not consumed.
+        Fewer only when the stream ends before them."""
+        raise self._no_look_ahead()
+
+    def advance(self, m: int) -> None:
+        """Consume the next ``m`` uniforms, as ``m`` calls of :meth:`uniform`
+        would, raising as they would where the stream ends."""
+        raise self._no_look_ahead()
+
+    def _no_look_ahead(self) -> NotImplementedError:
+        return NotImplementedError(
+            f"{type(self).__name__} defines no peek(n)/advance(m) look-ahead, "
+            "which the sparse-vector scans need"
+        )
+
+
+def _read_only(values: np.ndarray) -> np.ndarray:
+    values.flags.writeable = False
+    return values
+
 
 class SeededSource(RandomSource):
     """PCG64-backed uniform stream; the same seed yields the same stream."""
@@ -93,28 +126,52 @@ class SeededSource(RandomSource):
         self._gen = np.random.Generator(np.random.PCG64(seed))
         self._block = int(block)
         self._next_block = 32  # grow refills so short-lived sources stay cheap
+        # Drawn but unread: _ahead[_pos:].  _buf is _ahead as a list, which
+        # keeps uniform() near a list index; peek() empties it when it
+        # rebuilds _ahead, and uniform() converts again on demand.
+        self._ahead = _read_only(np.empty(0))
         self._buf: list[float] = []
         self._pos = 0
 
     def uniform(self) -> float:
         if self._pos >= len(self._buf):
-            # Buffered refill keeps per-draw overhead near a list index.
-            self._buf = self._gen.random(self._next_block).tolist()
-            self._next_block = min(2 * self._next_block, self._block)
-            self._pos = 0
+            self._refill()
         u = self._buf[self._pos]
         self._pos += 1
         return u
 
+    def _refill(self) -> None:
+        """Make _buf hold the unread draws, drawing a block if none are left."""
+        if self._pos < len(self._ahead):
+            self._ahead = self._ahead[self._pos:]
+        else:
+            self._ahead = _read_only(self._gen.random(self._next_block))
+            self._next_block = min(2 * self._next_block, self._block)
+        self._pos = 0
+        self._buf = self._ahead.tolist()
+
     def uniform_matrix(self, rows: int, cols: int) -> np.ndarray:
         # Drain the buffer first so the matrix continues the scalar stream.
         n = rows * cols
-        head = self._buf[self._pos:self._pos + n]
+        head = self._ahead[self._pos:self._pos + n]
         self._pos += len(head)
         tail = self._gen.random(n - len(head))
-        if head:
-            tail = np.concatenate([np.array(head, dtype=np.float64), tail])
+        if len(head):
+            tail = np.concatenate([head, tail])
         return tail.reshape(rows, cols)
+
+    def peek(self, n: int) -> np.ndarray:
+        short = self._pos + n - len(self._ahead)
+        if short > 0:
+            fresh = self._gen.random(max(short, self._next_block))
+            self._ahead = _read_only(np.concatenate([self._ahead[self._pos:], fresh]))
+            self._buf = []
+            self._pos = 0
+        return self._ahead[self._pos:self._pos + n]
+
+    def advance(self, m: int) -> None:
+        self.peek(m)
+        self._pos += m
 
 
 class ReplaySource(RandomSource):
@@ -126,16 +183,29 @@ class ReplaySource(RandomSource):
             if not 0.0 <= v < 1.0:
                 raise ValueError(f"replay value {v} outside [0, 1)")
         self._values = vals
+        self._array = _read_only(np.array(vals, dtype=np.float64))
         self._pos = 0
 
     def uniform(self) -> float:
         if self._pos >= len(self._values):
-            raise ReplayExhaustedError(
-                f"replay source exhausted after {len(self._values)} draws"
-            )
+            self._exhausted()
         u = self._values[self._pos]
         self._pos += 1
         return u
+
+    def peek(self, n: int) -> np.ndarray:
+        return self._array[self._pos:self._pos + n]
+
+    def advance(self, m: int) -> None:
+        if self._pos + m > len(self._values):
+            self._pos = len(self._values)
+            self._exhausted()
+        self._pos += m
+
+    def _exhausted(self):
+        raise ReplayExhaustedError(
+            f"replay source exhausted after {len(self._values)} draws"
+        )
 
     @property
     def remaining(self) -> int:
@@ -169,10 +239,20 @@ class Laplace:
         return magnitude if v > 0.0 else -magnitude
 
     def inverse_cdf_array(self, u: np.ndarray) -> np.ndarray:
-        v = u - 0.5
         with np.errstate(divide="ignore"):  # u = 0 gives -inf, as above
-            magnitude = -self.scale * np.log1p(-2.0 * np.abs(v))
-        return np.where(v < 0.0, -magnitude, magnitude)
+            return self.from_unit(self.unit_array(u))
+
+    @staticmethod
+    def unit_array(u: np.ndarray) -> np.ndarray:
+        """The parameter-free part of :meth:`inverse_cdf_array`, here the
+        Laplace(1) draws, which :meth:`from_unit` scales.  One pass serves
+        every scale of the family, bit for bit.  A draw of exactly 0 gives
+        -inf and numpy's divide warning, which the caller silences."""
+        v = u - 0.5
+        return np.copysign(np.log1p(-2.0 * np.abs(v)), v)
+
+    def from_unit(self, z: np.ndarray) -> np.ndarray:
+        return self.scale * z
 
 
 @dataclass(frozen=True)
@@ -195,7 +275,15 @@ class Exponential:
         return -self.scale * math.log1p(-u)
 
     def inverse_cdf_array(self, u: np.ndarray) -> np.ndarray:
-        return -self.scale * np.log1p(-u)
+        return self.from_unit(self.unit_array(u))
+
+    @staticmethod
+    def unit_array(u: np.ndarray) -> np.ndarray:
+        """Exponential(1) draws; see :meth:`Laplace.unit_array`."""
+        return -np.log1p(-u)
+
+    def from_unit(self, z: np.ndarray) -> np.ndarray:
+        return self.scale * z
 
 
 @dataclass(frozen=True)
@@ -221,8 +309,17 @@ class Geometric:
         return float(math.floor(math.log1p(-u) / math.log1p(-self.p)))
 
     def inverse_cdf_array(self, u: np.ndarray) -> np.ndarray:
+        return self.from_unit(self.unit_array(u))
+
+    @staticmethod
+    def unit_array(u: np.ndarray) -> np.ndarray:
+        """``log1p(-u)``, which :meth:`from_unit` maps to a draw at any
+        ``p``; see :meth:`Laplace.unit_array`."""
+        return np.log1p(-u)
+
+    def from_unit(self, z: np.ndarray) -> np.ndarray:
         # u = 0 gives -0.0 / negative = 0.0, the scalar's special case.
-        return np.floor(np.log1p(-u) / math.log1p(-self.p))
+        return np.floor(z / math.log1p(-self.p))
 
 
 @dataclass(frozen=True)

@@ -8,10 +8,11 @@ sensitivity 1 and are monotonic: adding a record can only raise counts.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
+
+import numpy as np
 
 __all__ = [
     "ParseError",
@@ -38,15 +39,21 @@ class QuerySet:
 
     values: tuple[float, ...]
     monotonic: bool = False
+    #: ``values`` as a read-only float64 array, built once for the kernels.
+    value_array: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         vals = tuple(float(v) for v in self.values)
         if len(vals) < 1:
             raise ValueError("QuerySet needs at least one query")
-        for v in vals:
-            if not math.isfinite(v):
-                raise ValueError(f"query values must be finite, got {v}")
+        array = np.array(vals)
+        finite = np.isfinite(array)
+        if not finite.all():
+            bad = array[~finite][0]
+            raise ValueError(f"query values must be finite, got {bad}")
+        array.flags.writeable = False
         object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "value_array", array)
 
     @property
     def sensitivity(self) -> float:

@@ -14,6 +14,14 @@ consumption never exceeds ``epsilon``.  One-sided exponential or geometric
 noise (the latter for integer-valued queries) can replace Laplace noise; the
 one-sided draws are debiased by their expected value so gaps stay centered.
 
+Both run one implementation, the array kernel of :func:`svt_batch`, which
+the audit and the experiment harness also run over many trials at once.  A
+release cannot know beforehand how many draws its scan takes, so it runs
+the kernel on a look-ahead window of its source (:meth:`RandomSource.peek`)
+that doubles until the scan stops, then consumes exactly the draws the scan
+read.  The result keeps the kernel's tags and gaps; :class:`SvtItem` objects
+are built only when asked for.
+
 Also here: the budget-split tuner :func:`theta_optimal`, and the lower
 confidence machinery for gap estimates (:func:`tail_probability`,
 :func:`lower_confidence_t`).
@@ -22,12 +30,13 @@ confidence machinery for gap estimates (:func:`tail_probability`,
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import FrozenInstanceError, dataclass
+from functools import cached_property
+from typing import Iterable, Optional
 
 import numpy as np
 
-from .noise import FamilyNoise, RandomSource, canonical_family, sample, variance_of
+from .noise import FamilyNoise, RandomSource, canonical_family, variance_of
 from .queries import QuerySet
 
 __all__ = [
@@ -106,6 +115,21 @@ class SvtConfig:
     def eps2(self) -> float:
         return self.eps1 / 2.0
 
+    @cached_property
+    def _scan_constants(self) -> tuple:
+        """What every scan under this config uses, built once: ``(kind,
+        centre)`` of the threshold noise at eps0 and of the query noise at
+        eps1 and eps2, the top branch's margin of two standard deviations,
+        and the charge of each tag (0 below, 1 middle, 2 top).  Monotonic
+        lists support half the query noise scale at the same privacy cost."""
+        spread = 1.0 if self.monotonic else 2.0
+        noises = (FamilyNoise(self.noise, self.eps0), FamilyNoise(self.noise, self.eps1, spread),
+                  FamilyNoise(self.noise, self.eps2, spread))
+        (thr, b0), (mid, b1), (top, b2) = ((noise.kind, noise.centre) for noise in noises)
+        charges = np.array((0.0, self.eps1, self.eps2))
+        charges.flags.writeable = False
+        return thr, b0, mid, b1, top, b2, 2.0 * math.sqrt(variance_of(top)), charges
+
 
 @dataclass(frozen=True, slots=True)
 class SvtItem:
@@ -122,66 +146,136 @@ class SvtItem:
     budget_used: float
 
 
-@dataclass(frozen=True)
+_BRANCHES = (None, "middle", "top")  # per scan tag: 0 below, 1 middle, 2 top
+
+
 class SvtResult:
-    items: tuple[SvtItem, ...]
-    ledger: BudgetLedger
+    """One scan's outcome: an :class:`SvtItem` per scanned query, in scan
+    order, and the budget ledger.
+
+    A release keeps the scan's tags and gaps and builds ``items``
+    on first access; :meth:`above_items` builds only the reports.
+    ``SvtResult(items, ledger)`` makes one from items.  Results are
+    immutable and compare and hash by ``(items, ledger)``.
+    """
+
+    __slots__ = ("ledger", "_items", "_scan")
+
+    def __init__(self, items: Iterable[SvtItem], ledger: BudgetLedger):
+        object.__setattr__(self, "ledger", ledger)
+        object.__setattr__(self, "_items", tuple(items))
+        object.__setattr__(self, "_scan", None)
+
+    @classmethod
+    def _of_scan(cls, tags: np.ndarray, gaps: np.ndarray, cfg: SvtConfig,
+                 ledger: BudgetLedger) -> "SvtResult":
+        """The result of a scan under ``cfg`` that gave query i the tag
+        ``tags[i]`` (0 below, 1 middle, 2 top) and, if above, the gap
+        ``gaps[i]``."""
+        result = cls.__new__(cls)
+        object.__setattr__(result, "ledger", ledger)
+        object.__setattr__(result, "_items", None)
+        object.__setattr__(result, "_scan", (tags, gaps, cfg))
+        return result
+
+    def _build(self, at: np.ndarray) -> tuple[SvtItem, ...]:
+        tags, gaps, cfg = self._scan
+        charges = (0.0, cfg.eps1, cfg.eps2)
+        return tuple(
+            SvtItem(i, t > 0, g if t else 0.0, _BRANCHES[t], charges[t])
+            for i, t, g in zip(at.tolist(), tags[at].tolist(), gaps[at].tolist())
+        )
+
+    @property
+    def items(self) -> tuple[SvtItem, ...]:
+        if self._items is None:
+            object.__setattr__(self, "_items", self._build(np.arange(len(self._scan[0]))))
+        return self._items
 
     def above_items(self) -> tuple[SvtItem, ...]:
-        return tuple(item for item in self.items if item.above)
+        if self._items is not None:
+            return tuple(item for item in self._items if item.above)
+        return self._build(np.flatnonzero(self._scan[0]))
 
+    def audit_output(self) -> tuple[tuple[int, ...], tuple[float, ...]]:
+        """The tag of each scanned query (0 below, 1 middle, 2 top) and the
+        released gaps in scan order: what the auditor bins."""
+        if self._items is not None:
+            return (tuple(0 if not item.above else 1 if item.branch == "middle" else 2
+                          for item in self._items),
+                    tuple(item.gap for item in self._items if item.above))
+        tags, gaps, _ = self._scan
+        return tuple(tags.tolist()), tuple(gaps[tags > 0].tolist())
 
-def _noises(cfg: SvtConfig) -> tuple[FamilyNoise, FamilyNoise, FamilyNoise]:
-    """Threshold noise at eps0 and query noise at eps1 and eps2.  Monotonic
-    lists support half the query noise scale at the same privacy cost."""
-    spread = 1.0 if cfg.monotonic else 2.0
-    return (FamilyNoise(cfg.noise, cfg.eps0), FamilyNoise(cfg.noise, cfg.eps1, spread),
-            FamilyNoise(cfg.noise, cfg.eps2, spread))
+    def __eq__(self, other):
+        if not isinstance(other, SvtResult):
+            return NotImplemented
+        return (self.items, self.ledger) == (other.items, other.ledger)
+
+    def __hash__(self):
+        return hash((self.items, self.ledger))
+
+    def __repr__(self):
+        return f"SvtResult(items={self.items!r}, ledger={self.ledger!r})"
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __reduce__(self):
+        return SvtResult, (self.items, self.ledger)
 
 
 def _require_integer_queries(q: QuerySet, cfg: SvtConfig) -> None:
     if cfg.noise != "geometric":
         return
-    for v in q.values:
-        if not float(v).is_integer():
-            raise ValueError(
-                f"geometric noise requires integer query values, got {v}"
-            )
+    values = q.value_array
+    fractional = values != np.floor(values)
+    if fractional.any():
+        raise ValueError(
+            f"geometric noise requires integer query values, got {values[fractional][0]}"
+        )
 
 
-def _scan(q: QuerySet, cfg: SvtConfig, src: RandomSource) -> SvtResult:
-    """The scan of :func:`gap_svt`, or of :func:`adaptive_svt` when
-    ``cfg.adaptive``.  Each keeps its own middle-branch comparison: the two
-    differ on infinite draws, which zero-noise traces replay."""
-    _require_integer_queries(q, cfg)
-    adaptive = cfg.adaptive
-    eps, eps1, eps2 = cfg.epsilon, cfg.eps1, cfg.eps2
-    thr, mid, top = _noises(cfg)
-    thr_kind = thr.kind
-    if adaptive:
-        top_kind, b2 = top.kind, top.centre
-        margin = 2.0 * math.sqrt(variance_of(top_kind))
-    mid_kind, b1 = mid.kind, mid.centre
+# Queries in a release's first look-ahead window; each later window doubles
+# and scans again from the start.  A kernel pass costs ~30 us of numpy call
+# overhead plus ~30 ns per query (2-core x86 host), so a first window of
+# this size wastes at most about one pass's overhead on a scan that stops
+# early, and a scan over 10^4 queries takes at most five passes.
+_FIRST_WINDOW = 1024
 
-    noisy_threshold = cfg.threshold + sample(thr_kind, src) - thr.centre
-    consumed = cfg.eps0
-    items: list[SvtItem] = []
-    for i, value in enumerate(q.values):
-        if adaptive:
-            noisy_top = value + sample(top_kind, src) - b2
-        noisy_mid = value + sample(mid_kind, src) - b1
-        if adaptive and noisy_top - noisy_threshold >= margin:
-            items.append(SvtItem(i, True, noisy_top - noisy_threshold, "top", eps2))
-            consumed += eps2
-        elif (noisy_mid - noisy_threshold >= 0.0 if adaptive
-              else noisy_mid >= noisy_threshold):
-            items.append(SvtItem(i, True, noisy_mid - noisy_threshold, "middle", eps1))
-            consumed += eps1
-        else:
-            items.append(SvtItem(i, False, 0.0, None, 0.0))
-        if consumed > eps - eps1:
+
+def _release(q: QuerySet, cfg: SvtConfig, src: RandomSource) -> SvtResult:
+    """Run :func:`svt_batch`'s kernel as one release on ``src``.
+
+    The scan cannot know its length beforehand, so it runs on a look-ahead
+    window of whole queries that doubles until the ledger shows the scan
+    stopped or the queries run out.  The source then advances by exactly
+    the draws the scan used, so a shared source continues where the scan
+    stopped reading.  A stream that ends first raises where a draw-by-draw
+    scan would.
+    """
+    scan = _scanner(q, cfg)
+    n, step = len(q.values), 2 if cfg.adaptive else 1
+    queries = min(n, _FIRST_WINDOW)
+    while True:
+        row = src.peek(1 + step * queries)
+        short = len(row) < 1 + step * queries
+        if short:
+            queries = (len(row) - 1) // step
+            if queries < 1:
+                src.advance(len(row) + 1)  # past the end of the stream: raises
+            row = row[:1 + step * queries]
+        tags, gaps, within, consumed = scan(row[None])
+        scanned = np.count_nonzero(within) + 1
+        if scanned <= queries or queries == n:  # stopped, or out of queries
             break
-    return SvtResult(tuple(items), BudgetLedger(eps, consumed))
+        if short:
+            src.advance(len(row) + 1)
+        queries = min(2 * queries, n)
+    scanned = min(scanned, queries)
+    src.advance(1 + step * scanned)
+    return SvtResult._of_scan(tags[:scanned, 0], gaps[:scanned, 0], cfg,
+                              BudgetLedger(cfg.epsilon, float(consumed[scanned - 1, 0])))
 
 
 def gap_svt(q: QuerySet, cfg: SvtConfig, src: RandomSource) -> SvtResult:
@@ -190,11 +284,13 @@ def gap_svt(q: QuerySet, cfg: SvtConfig, src: RandomSource) -> SvtResult:
     The threshold is noised once at scale 1/eps0; each query is noised at
     scale 2/eps1 (1/eps1 for monotonic lists).  An above-threshold report
     emits the noisy gap and charges eps1; the scan stops once the consumed
-    budget exceeds epsilon - eps1 or the queries run out.
+    budget exceeds epsilon - eps1 or the queries run out.  Runs
+    :func:`svt_batch`'s kernel on the next uniforms of ``src``, consuming
+    exactly the threshold draw and one draw per scanned query.
     """
     if cfg.adaptive:
         raise ValueError("gap_svt requires a config with adaptive=False")
-    return _scan(q, cfg, src)
+    return _release(q, cfg, src)
 
 
 def adaptive_svt(q: QuerySet, cfg: SvtConfig, src: RandomSource) -> SvtResult:
@@ -205,123 +301,101 @@ def adaptive_svt(q: QuerySet, cfg: SvtConfig, src: RandomSource) -> SvtResult:
     deviation of that top-branch noise; passing reports the gap at cost eps2.
     Otherwise a moderately noised value (eps1) is tested at margin 0.  Both
     noise values are always drawn, whether or not they are used, so replayed
-    traces are stable.
+    traces are stable.  Runs :func:`svt_batch`'s kernel on the next uniforms
+    of ``src``, consuming exactly the threshold draw and two per scanned
+    query.
     """
     if not cfg.adaptive:
         raise ValueError("adaptive_svt requires a config with adaptive=True")
-    return _scan(q, cfg, src)
+    return _release(q, cfg, src)
 
 
 def svt_batch(q: QuerySet, cfg: SvtConfig):
-    """Batch kernel of :func:`gap_svt` (or :func:`adaptive_svt` when
-    ``cfg.adaptive``) on ``q``, for the audit and the experiment harness:
-    returns ``(draws, kernel, True)``, the scan being able to stop early.
+    """The kernel of :func:`gap_svt` (or :func:`adaptive_svt` when
+    ``cfg.adaptive``) on ``q``, which the public calls, the audit and the
+    experiment harness run: returns ``(draws, kernel, True)``, the scan
+    being able to stop early.
 
     ``kernel(U, thresholds=None)`` takes a (trials, draws) uniform matrix
-    laid out as the scalar scan reads it (threshold, then per query its top
-    draw if adaptive and its middle draw) and returns every trial's audit
-    output at once: ``codes`` (int64, one tag per scanned query: 0 below,
-    1 middle, 2 top; -1 past the stop), ``gaps`` (float64, the released gaps
-    in scan order, NaN-padded) and ``used`` (int64, the draws the trial
-    read).  ``thresholds``, one per row, replaces ``cfg.threshold``.  A trial
-    stops where the scalar scan stops and the rest of its row goes unread.
-    The budget sum is accumulated in the scalar scan's order, so both stop
-    after the same query.
-
-    Two bodies compute the same outputs: one steps through the queries, with
-    every trial at once, and quits when all trials have stopped; the other
-    takes every query at once and finds each stop with a running sum.  The
-    first wins on many trials over few queries (the audit), the second on
-    few trials over many queries (the harness); :func:`_scan_whole` picks.
+    laid out as a scan reads it (threshold, then per query its top draw if
+    adaptive and its middle draw) and returns every trial's audit output at
+    once: ``codes`` (int64, one tag per scanned query: 0 below, 1 middle,
+    2 top; -1 past the stop), ``gaps`` (float64, each released gap in its
+    query's column, NaN in the others) and ``used`` (int64, the draws the
+    trial read).  ``thresholds``, one per row, replaces ``cfg.threshold``.
+    A trial stops after the query whose charge takes the consumed budget
+    past ``epsilon - eps1``, and the rest of its row goes unread.
     """
-    _require_integer_queries(q, cfg)
-    adaptive, eps, eps1, eps2 = cfg.adaptive, cfg.epsilon, cfg.eps1, cfg.eps2
-    thr, mid, top = _noises(cfg)
-    thr_kind, b0 = thr.kind, thr.centre
-    mid_kind, b1 = mid.kind, mid.centre
-    if adaptive:
-        top_kind, b2 = top.kind, top.centre
-        margin = 2.0 * math.sqrt(variance_of(top_kind))
-    per_query = 2 if adaptive else 1
-    n = len(q.values)
-    values = np.array(q.values)[:, None]
-
-    def outcome(noisy_threshold, noisy_mid, noisy_top):
-        """Tags, candidate gaps and costs of queries against the threshold."""
-        if adaptive:
-            top = noisy_top - noisy_threshold >= margin
-            mid = ~top & (noisy_mid - noisy_threshold >= 0.0)
-            gap = np.where(top, noisy_top, noisy_mid) - noisy_threshold
-            return 2 * top + mid, gap, np.where(top, eps2, eps1)
-        mid = noisy_mid >= noisy_threshold
-        return mid.astype(np.int64), noisy_mid - noisy_threshold, eps1
-
-    def whole(noisy_threshold, noisy_mids, noisy_tops):
-        """The kernel's outputs with every query at once."""
-        m = len(noisy_threshold)
-        tag, gap, cost = outcome(noisy_threshold, noisy_mids, noisy_tops)
-        above = tag > 0
-        # Adding 0.0 for a query below the threshold leaves the sum as the
-        # scalar scan leaves it, so both stop after the same query.
-        spent = np.where(above, cost, 0.0)
-        consumed = np.cumsum(np.vstack([np.full(m, cfg.eps0), spent]), axis=0)[1:]
-        stopped = np.logical_or.accumulate(consumed > eps - eps1, axis=0)
-        live = np.vstack([np.ones((1, m), dtype=bool), ~stopped[:-1]])
-        released = above & live
-        # Released gaps first, in scan order; the rest becomes padding.
-        order = np.argsort(~released, axis=0, kind="stable")
-        gaps = np.take_along_axis(gap, order, axis=0)
-        gaps[np.arange(n)[:, None] >= released.sum(axis=0)] = np.nan
-        return np.where(live, tag, -1).T, gaps.T, 1 + per_query * live.sum(axis=0)
+    scan = _scanner(q, cfg)
+    step = 2 if cfg.adaptive else 1
 
     def kernel(U: np.ndarray, thresholds: Optional[np.ndarray] = None):
-        rows = U.T  # one row per draw position; contiguous for stream windows
-        threshold = cfg.threshold if thresholds is None else thresholds
-        noisy_threshold = threshold + thr_kind.inverse_cdf_array(rows[0]) - b0
-        noisy_mids = values + mid_kind.inverse_cdf_array(rows[per_query::per_query]) - b1
-        noisy_tops = (values + top_kind.inverse_cdf_array(rows[1::2]) - b2
-                      if adaptive else None)
-        if _scan_whole(len(U), n):
-            return whole(noisy_threshold, noisy_mids, noisy_tops)
-        # Step through the queries with every trial at once.  Kept inline:
-        # as a nested function called from here it ran the audit's SVT
-        # cases about 30% slower.
-        m = len(U)
-        consumed = np.full(m, cfg.eps0)
-        live = np.ones(m, dtype=bool)
-        scanned = np.zeros(m, dtype=np.int64)
-        released = np.zeros(m, dtype=np.int64)
-        codes = np.full((m, n), -1, dtype=np.int64)
-        gaps = np.full((m, n), np.nan)
-        for i, noisy_mid in enumerate(noisy_mids):
-            tag, gap, cost = outcome(
-                noisy_threshold, noisy_mid, noisy_tops[i] if adaptive else None
-            )
-            above = (tag > 0) & live
-            scanned += live
-            codes[:, i] = np.where(live, tag, -1)
-            hit = np.flatnonzero(above)
-            gaps[hit, released[hit]] = gap[hit]
-            released += above
-            consumed = np.where(above, consumed + cost, consumed)
-            live &= ~(consumed > eps - eps1)
-            if not live.any():
-                break
-        return codes, gaps, 1 + per_query * scanned
+        tags, gaps, within, _ = scan(U, thresholds)
+        scanned = np.minimum(within.sum(axis=0) + 1, len(tags))
+        codes = np.where(np.arange(len(tags))[:, None] < scanned, tags, -1)
+        return codes.T, np.where(codes > 0, gaps, np.nan).T, 1 + step * scanned
 
-    return 1 + per_query * n, kernel, True
+    return 1 + step * len(q.values), kernel, True
 
 
-def _scan_whole(trials: int, queries: int) -> bool:
-    """Whether :func:`svt_batch`'s kernel takes every query at once.
+def _scanner(q: QuerySet, cfg: SvtConfig):
+    """The scan behind :func:`svt_batch`'s kernel, with every query at once.
 
-    The stepwise body makes ~15 numpy calls per query it reaches, each over
-    all trials; the whole body makes a fixed ~20 over the full (trials,
-    queries) block.  Measured on a 2-core x86 host: 32 trials over 200
-    queries take 0.45 ms whole and 3.1 ms stepwise; 4096 audit windows over
-    3 queries take 2.1 ms whole and 1.1 ms stepwise.
+    ``scan(U, thresholds=None)`` takes rows holding the draws of any whole
+    number of queries and scans that prefix of ``q``.  It returns, per
+    (query, trial), the tags, the candidate gaps, whether the consumed
+    budget after the query is still within ``epsilon - eps1``, and that
+    budget.  The scan stops after the first query where it is not; consumed
+    budget only grows, so the queries within it come first.
     """
-    return trials <= queries
+    _require_integer_queries(q, cfg)
+    adaptive, eps0, limit = cfg.adaptive, cfg.eps0, cfg.epsilon - cfg.eps1
+    thr_kind, b0, mid_kind, b1, top_kind, b2, margin, charges = cfg._scan_constants
+    step = 2 if adaptive else 1
+    values = q.value_array[:, None]
+
+    def scan(U: np.ndarray, thresholds: Optional[np.ndarray] = None):
+        threshold = cfg.threshold if thresholds is None else thresholds
+        v = values[:(U.shape[1] - 1) // step]
+        # A zero draw gives Laplace noise -inf, and two give -inf minus -inf:
+        # a NaN gap, as in a draw-by-draw scan.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # One inverse-CDF pass serves all three noises.  Row j holds
+            # every trial's draw j, so a stream window's rows are contiguous.
+            z = thr_kind.unit_array(U.T)
+            noisy_threshold = threshold + thr_kind.from_unit(z[0]) - b0
+            noisy_mid = v + mid_kind.from_unit(z[step::step]) - b1
+            gaps = noisy_mid - noisy_threshold
+            if adaptive:
+                over_top = v + top_kind.from_unit(z[1::2]) - b2 - noisy_threshold
+                top_hit = over_top >= margin
+                tags = np.where(top_hit, 2, gaps >= 0.0)
+                gaps = np.where(top_hit, over_top, gaps)
+            else:
+                tags = (noisy_mid >= noisy_threshold).astype(np.int64)
+        # Consumed budget after each query, summed in scan order as a
+        # draw-by-draw scan sums it: a query below the threshold adds 0.0,
+        # which leaves the sum unchanged.
+        spent = charges.take(tags)
+        spent[0] += eps0
+        consumed = _accumulate(spent)
+        return tags, gaps, consumed <= limit, consumed
+
+    return scan
+
+
+def _accumulate(spent: np.ndarray) -> np.ndarray:
+    """Sum ``spent`` down its first axis in place, in order: row j becomes
+    the sum of rows 0..j, as ``np.cumsum(axis=0)`` adds them.  numpy
+    accumulates along a short first axis slowly (3 x 4096, the audit's
+    windows: ~110 us against ~10 us row by row), so few rows are added one
+    at a time."""
+    if len(spent) < spent.shape[1]:
+        for row, before in zip(spent[1:], spent[:-1]):
+            row += before
+    else:
+        np.add.accumulate(spent, axis=0, out=spent)
+    return spent
 
 
 # Cube coefficient m in theta = 1/(1 + (m k^2)^(1/3)), per (branch, monotonic).
@@ -384,12 +458,14 @@ def tail_probability(t: float, eps0: float, eps_star: float) -> float:
         raise ValueError("t must be >= 0")
     if not (eps0 > 0.0 and eps_star > 0.0):
         raise ValueError("rates must be > 0")
-    if math.isclose(eps0, eps_star, rel_tol=1e-9):
-        e = 0.5 * (eps0 + eps_star)
-        return 1.0 - ((2.0 + e * t) / 4.0) * math.exp(-e * t)
-    a = eps0 * eps0
-    b = eps_star * eps_star
-    return 1.0 - (a * math.exp(-eps_star * t) - b * math.exp(-eps0 * t)) / (2.0 * (a - b))
+    # With r the smaller rate and s the larger, the closed form
+    # 1 - (eps0^2 e^(-eps* t) - eps*^2 e^(-eps0 t)) / (2 (eps0^2 - eps*^2))
+    # equals 1 - e^(-r t) (1 + r^2 w / (r + s)) / 2 with
+    # w = expm1((r - s) t) / (r - s), which tends to t at equal rates.  In
+    # this form nothing cancels as the rates approach each other.
+    r, s = min(eps0, eps_star), max(eps0, eps_star)
+    w = math.expm1((r - s) * t) / (r - s) if r < s else t
+    return 1.0 - 0.5 * math.exp(-r * t) * (1.0 + r * r * w / (r + s))
 
 
 def lower_confidence_t(level: float, eps0: float, eps_star: float) -> float:

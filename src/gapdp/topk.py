@@ -109,7 +109,7 @@ def gap_topk_batch(q: QuerySet, k: int, eps: float, noise: str = "laplace"):
     (float64, trials x k).
     """
     kind = _selection_noise(q, k, eps, noise)
-    values = np.array(q.values)
+    values = q.value_array
 
     def kernel(U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return top_gaps(values + kind.inverse_cdf_array(U), k)

@@ -1,14 +1,14 @@
 """The audit's batch kernels against independent loop references.
 
-An audit on the batch path certifies the kernel.  For the fixed-draw
-mechanisms (top-k, the hybrids, the Gumbel-max exponential mechanism) the
-kernel is also what the public function runs, so the references here are
-short loops of their own: ``heapq.nlargest`` over ``(value, -index)`` and the
-scalar ``inverse_cdf``.  The sparse-vector kernels stand for the scalar scan,
-which stays the public implementation and is the reference for them.  For a
-uniform matrix U, the kernel's row r must equal the reference on ``U[r]``.
-Discrete outputs must match exactly; gaps to a relative 1e-12, the room
-numpy's and ``math``'s ``log1p``/``log``/``exp`` leave between them.
+An audit on the batch path certifies the kernel, and every public
+mechanism but the black-box exponential mechanism runs that kernel too, so
+the references here are short loops of their own.  For the fixed-draw
+mechanisms (top-k, the hybrids, the Gumbel-max exponential mechanism) they
+are ``heapq.nlargest`` over ``(value, -index)`` and the scalar
+``inverse_cdf``; for the sparse-vector scans, a draw-by-draw scan.  For a
+uniform matrix U, the kernel's row r must equal the reference on ``U[r]``.  Discrete outputs and the draws a scan reads
+must match exactly; gaps to a relative 1e-12, the room numpy's and
+``math``'s ``log1p``/``log``/``exp`` leave between them.
 
 Run alone with ``python -X dev -W error::RuntimeWarning -m pytest
 tests/test_audit_kernels.py``; the module also turns RuntimeWarnings into
@@ -24,12 +24,13 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from gapdp import audit, svt
+from gapdp import audit
 from gapdp.audit import AuditConfig, as_audit_output, estimate_epsilon
 from gapdp.expmech import UtilityTable
 from gapdp.harness import standard_audit_cases
 from gapdp.noise import (
     Exponential,
+    FamilyNoise,
     Geometric,
     Gumbel,
     Laplace,
@@ -111,7 +112,58 @@ def blackbox_reference(data, row):
     return (s,), [sample_logistic_nonneg(location, ReplaySource(row[1:]))]
 
 
+def svt_scan(cfg, values, draw):
+    """The draw-by-draw sparse-vector scan under ``cfg``, reading uniforms
+    from ``draw()``: its tags (0 below, 1 middle, 2 top), released gaps,
+    consumed budget and draws read."""
+    spread = 1.0 if cfg.monotonic else 2.0
+    thr, mid, top = (FamilyNoise(cfg.noise, cfg.eps0), FamilyNoise(cfg.noise, cfg.eps1, spread),
+                     FamilyNoise(cfg.noise, cfg.eps2, spread))
+
+    def noisy(value, noise):
+        return value + noise.kind.inverse_cdf(draw()) - noise.centre
+
+    noisy_threshold = noisy(cfg.threshold, thr)
+    consumed, tags, gaps = cfg.eps0, [], []
+    for value in values:
+        if cfg.adaptive:
+            noisy_top = noisy(value, top)
+        noisy_mid = noisy(value, mid)
+        if cfg.adaptive and noisy_top - noisy_threshold >= 2.0 * math.sqrt(top.kind.variance):
+            tags.append(2)
+            gaps.append(noisy_top - noisy_threshold)
+            consumed += cfg.eps2
+        elif (noisy_mid - noisy_threshold >= 0.0 if cfg.adaptive
+              else noisy_mid >= noisy_threshold):
+            tags.append(1)
+            gaps.append(noisy_mid - noisy_threshold)
+            consumed += cfg.eps1
+        else:
+            tags.append(0)
+        if consumed > cfg.epsilon - cfg.eps1:
+            break
+    return tuple(tags), gaps, consumed, 1 + (1 + cfg.adaptive) * len(tags)
+
+
+def svt_reference(cfg):
+    def run(data, row):
+        tags, gaps, _, read = svt_scan(cfg, data.values, iter(row.tolist()).__next__)
+        return tags, gaps, read
+    return run
+
+
+def svt_config(name, **changes):
+    """The config standard_audit_cases gives an SVT case, with ``changes``."""
+    family = name.rpartition("_")[2] if name.startswith("adaptive") else "laplace"
+    cfg = SvtConfig(epsilon=EPS, k=1, threshold=1.0, theta=0.5, noise=family,
+                    adaptive=name != "gap_svt")
+    return dataclasses.replace(cfg, **changes)
+
+
+SVT_CASES = sorted(name for name in CASES if "svt" in name)
+
 REFERENCES = {
+    **{name: svt_reference(svt_config(name)) for name in SVT_CASES},
     "gap_topk_laplace": gap_topk_reference(Laplace(2.0 / EPS)),
     "gap_topk_exponential": gap_topk_reference(Exponential(2.0 / EPS)),
     "hybrid_identity": hybrid_identity_reference,
@@ -165,7 +217,7 @@ def assert_rows_match(mech, data, U, reference):
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_kernel_matches_scalar_mechanism(name):
     case = CASES[name]
-    reference = REFERENCES.get(name, public_call(case.mech))
+    reference = REFERENCES[name]
     rng = np.random.default_rng(sorted(CASES).index(name))
     for data in inputs(case):
         draws = case.mech.batch(data)[0]
@@ -173,34 +225,90 @@ def test_kernel_matches_scalar_mechanism(name):
         assert_rows_match(case.mech, data, hand_picked(draws), reference)
 
 
+def with_zero_draws(U, rng):
+    """U with a draw of exactly 0 (Laplace noise -inf) at one random place
+    in each row, and at a second in every other row."""
+    U = U.copy()
+    rows = np.arange(len(U))
+    U[rows, rng.integers(0, U.shape[1], len(U))] = 0.0
+    U[rows[::2], rng.integers(0, U.shape[1], len(rows[::2]))] = 0.0
+    return U
+
+
+def same_reals(got, want):
+    """Equal lengths, and each pair both NaN or within the references'
+    1e-12."""
+    return len(got) == len(want) and all(
+        math.isnan(g) and math.isnan(w) or math.isclose(g, w, rel_tol=1e-12, abs_tol=1e-12)
+        for g, w in zip(got, want)
+    )
+
+
 @pytest.mark.parametrize("name", sorted(REFERENCES))
 def test_public_call_is_kernel_row(name):
-    # A fixed-draw public call reads exactly the kernel's draws and releases
-    # its row 0.  The black-box mechanism keeps its selector protocol, so its
+    # A public call reads exactly the draws of the kernel's row 0 (all of
+    # them for a fixed-draw mechanism, ``used`` for a scan) and releases that
+    # row.  The black-box mechanism keeps its selector protocol, so its
     # public call is a loop of its own and agrees with the kernel's row to
     # the same 1e-12 as the references.
     case = CASES[name]
     rng = np.random.default_rng(41)
     for data in inputs(case):
-        draws, kernel, _ = case.mech.batch(data)
+        draws, kernel, early_stop = case.mech.batch(data)
         for row in np.vstack([rng.random((200, draws)), hand_picked(draws)[:200]]):
             discrete, reals, read = public_call(case.mech)(data, row)
-            codes, gaps = kernel(row[None, :])
-            assert read == draws
+            codes, gaps, *used = kernel(row[None, :])
+            assert read == (used[0][0] if early_stop else draws)
             assert discrete == tuple(c for c in codes[0].tolist() if c != -1), row
             row_gaps = [g for g in gaps[0].tolist() if not math.isnan(g)]
             if name == "exp_mech_blackbox":
                 assert reals == pytest.approx(row_gaps, rel=1e-12, abs=1e-12), row
             else:
                 assert list(reals) == row_gaps, row
+        if early_stop:
+            # Zero draws give infinite noise, which the audit replays through
+            # the public call: it must release what the scalar scan releases,
+            # NaN gaps included.
+            for row in with_zero_draws(rng.random((100, draws)), rng):
+                discrete, reals, read = public_call(case.mech)(data, row)
+                want, want_reals, want_read = REFERENCES[name](data, row)
+                assert (discrete, read) == (want, want_read), row
+                assert same_reals(list(reals), want_reals), row
+
+
+@pytest.mark.parametrize("name", SVT_CASES)
+def test_consecutive_releases_read_the_stream_as_the_scalar_scan(name):
+    # Releases on one shared source read it as back-to-back draw-by-draw
+    # scans do, and leave it where they leave it: short scans, and scans
+    # over 3000 queries far below the threshold that stop in a later
+    # look-ahead window or run out of queries.
+    rng = np.random.default_rng(23)
+    mech = adaptive_svt if name.startswith("adaptive") else gap_svt
+    for n, threshold in ((1, 0.0), (3, 1.0), (300, 20.0), (3000, 60.0), (3000, 80.0)):
+        data = QuerySet(tuple(rng.integers(0, 26, n).astype(float)))
+        cfg = svt_config(name, k=3, threshold=threshold, theta=0.4)
+        seed = int(rng.integers(2**32))
+        shared, scalar = SeededSource(seed), SeededSource(seed)
+        for _ in range(3):
+            result = mech(data, cfg, shared)
+            tags, gaps, consumed, _ = svt_scan(cfg, data.values, scalar.uniform)
+            assert as_audit_output(result)[0] == tags
+            assert [item.budget_used for item in result.items] == [
+                (0.0, cfg.eps1, cfg.eps2)[t] for t in tags
+            ]
+            assert result.ledger.consumed == consumed
+            got = [item.gap for item in result.above_items()]
+            assert got == pytest.approx(gaps, rel=1e-12, abs=1e-12)
+        assert shared.uniform() == scalar.uniform()
 
 
 @pytest.mark.parametrize("noise", ["laplace", "exponential", "geometric"])
 @pytest.mark.parametrize("adaptive", [False, True])
 def test_svt_kernel_bodies_match_scalar_scan_with_row_thresholds(adaptive, noise):
-    # The harness hands the SVT kernel one threshold per row, and few rows
-    # over many queries select the kernel's other body.  Both bodies must
-    # give each row the scalar scan's output and read exactly its draws.
+    # The harness hands the SVT kernel one threshold per row.  Few rows over
+    # many queries and many rows over few sum the budget along different
+    # paths; both must give each row the scalar scan's output and read
+    # exactly its draws.
     rng = np.random.default_rng(17 + adaptive)
     values = rng.integers(0, 30, 24).astype(float)
     for monotonic in (False, True):
@@ -208,18 +316,15 @@ def test_svt_kernel_bodies_match_scalar_scan_with_row_thresholds(adaptive, noise
         cfg = SvtConfig(epsilon=0.7, k=3, threshold=math.nan, theta=0.3, noise=noise,
                         adaptive=adaptive)
         draws, kernel, _ = svt_batch(data, cfg)
-        scan = adaptive_svt if adaptive else gap_svt
         for rows in (8, 300):
-            assert svt._scan_whole(rows, len(values)) == (rows == 8)
             U = rng.random((rows, draws))
             U[rng.random(U.shape) < 0.3] = 0.5  # zero Laplace noise: ties
             thresholds = rng.choice(values, rows)
             codes, gaps, used = kernel(U, thresholds)
             for r, row in enumerate(U):
-                source = ReplaySource(row)
                 row_cfg = dataclasses.replace(cfg, threshold=float(thresholds[r]))
-                discrete, reals = as_audit_output(scan(data, row_cfg, source))
-                assert used[r] == draws - source.remaining, (rows, r)
+                discrete, reals, read = svt_reference(row_cfg)(data, row)
+                assert used[r] == read, (rows, r)
                 assert tuple(int(c) for c in codes[r] if c != -1) == discrete, (rows, r)
                 got = [float(g) for g in gaps[r] if not math.isnan(g)]
                 assert len(got) == len(reals), (rows, r)

@@ -12,6 +12,7 @@ from gapdp.noise import (
     Gumbel,
     Laplace,
     Logistic,
+    RandomSource,
     ReplayExhaustedError,
     ReplaySource,
     SeededSource,
@@ -21,6 +22,8 @@ from gapdp.noise import (
     sample_logistic_nonneg,
     variance_of,
 )
+from gapdp.queries import QuerySet
+from gapdp.svt import SvtConfig, gap_svt
 
 from conftest import draw_many
 
@@ -116,6 +119,60 @@ def test_replay_source_yields_sequence_then_raises():
     assert [src.uniform() for _ in range(3)] == [0.1, 0.9, 0.5]
     with pytest.raises(ReplayExhaustedError):
         src.uniform()
+
+
+def test_peek_does_not_consume():
+    src = SeededSource(8)
+    ahead = src.peek(5000)
+    assert not ahead.flags.writeable
+    assert np.array_equal(src.peek(3), ahead[:3])
+    assert [src.uniform() for _ in range(5000)] == ahead.tolist()
+    fresh = SeededSource(8)
+    assert [fresh.uniform() for _ in range(5000)] == ahead.tolist()
+
+
+def test_look_ahead_and_draws_interleave_into_one_stream():
+    a, b = SeededSource(9), SeededSource(9)
+    drawn = [a.uniform() for _ in range(5)]
+    drawn += a.peek(40).tolist()
+    a.advance(40)
+    drawn += a.uniform_matrix(3, 7).ravel().tolist()
+    ahead = a.peek(10_000)  # beyond the block: the source draws more
+    drawn += [a.uniform() for _ in range(4)]
+    assert drawn[-4:] == ahead[:4].tolist()
+    a.advance(9000)
+    drawn += ahead[4:9004].tolist()
+    drawn += a.uniform_matrix(1, 5000).ravel().tolist()
+    drawn += [a.uniform() for _ in range(3)]
+    assert drawn == [b.uniform() for _ in range(len(drawn))]
+
+
+def test_replay_peek_returns_what_is_left():
+    src = ReplaySource([0.1, 0.9, 0.5])
+    assert src.uniform() == 0.1
+    assert src.peek(5).tolist() == [0.9, 0.5]
+    assert src.remaining == 2
+    src.advance(1)
+    assert src.peek(1).tolist() == [0.5]
+    with pytest.raises(ReplayExhaustedError):
+        src.advance(2)
+    assert src.remaining == 0 and len(src.peek(1)) == 0
+
+
+def test_source_without_look_ahead_says_so():
+    class Constant(RandomSource):
+        def uniform(self):
+            return 0.5
+
+    src = Constant()
+    assert src.uniform_matrix(1, 2).tolist() == [[0.5, 0.5]]
+    with pytest.raises(NotImplementedError, match="peek"):
+        src.peek(1)
+    with pytest.raises(NotImplementedError, match="peek"):
+        src.advance(1)
+    cfg = SvtConfig(epsilon=1.0, k=1, threshold=0.0, theta=0.5)
+    with pytest.raises(NotImplementedError, match="Constant defines no peek"):
+        gap_svt(QuerySet((1.0,)), cfg, src)
 
 
 def test_replay_source_validates_range():

@@ -1,6 +1,7 @@
 import math
 import subprocess
 import sys
+from decimal import Decimal, localcontext
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
 
-from gapdp.noise import ReplaySource, SeededSource
+from gapdp.noise import ReplayExhaustedError, ReplaySource, SeededSource
 from gapdp.queries import QuerySet
 from gapdp.svt import (
     BudgetLedger,
@@ -17,11 +18,12 @@ from gapdp.svt import (
     adaptive_svt,
     gap_svt,
     lower_confidence_t,
+    svt_batch,
     tail_probability,
     theta_optimal,
 )
 
-from conftest import zero_noise_uniform
+from conftest import kernel_runs, zero_noise_uniform
 
 
 def zero_source(family, n):
@@ -135,6 +137,25 @@ class TestAdaptiveSvtTraces:
         assert src.remaining == 0
 
 
+@pytest.mark.parametrize("adaptive", [False, True])
+def test_short_replay_raises_where_the_scan_runs_out(adaptive):
+    # Zero noise, every query below the threshold: the scan wants all
+    # 1 + (1 or 2) * 3 draws, and a replay one draw short runs dry on the
+    # last query, as a draw-by-draw scan does.  A scan that stops first
+    # reads no further and does not raise.
+    run = adaptive_svt if adaptive else gap_svt
+    per_query = 2 if adaptive else 1
+    q = QuerySet((1.0, 2.0, 3.0))
+    below = SvtConfig(epsilon=1.0, k=1, threshold=100.0, theta=0.5, adaptive=adaptive)
+    src = zero_source("laplace", per_query * 3)
+    with pytest.raises(ReplayExhaustedError):
+        run(q, below, src)
+    assert src.remaining == 0
+    above = SvtConfig(epsilon=1.0, k=1, threshold=0.0, theta=0.5, adaptive=adaptive)
+    src = zero_source("laplace", 1 + per_query)
+    assert len(run(q, above, src).items) == 1 and src.remaining == 0
+
+
 def test_scans_keep_their_own_comparison_on_infinite_draws():
     # u = 0 maps Laplace noise to -inf, so the noisy threshold and the noisy
     # query are both -inf: gap_svt's noisy_q >= noisy_threshold holds, while
@@ -218,6 +239,24 @@ class TestConfidence:
             tail_probability(0.7, 1.0, 1.0), abs=1e-9
         )
 
+    def test_tail_keeps_its_digits_near_equal_rates(self):
+        # The closed form divides by eps0^2 - eps*^2, so near equal rates
+        # it must be evaluated without cancellation: against 60 digits, it
+        # stays within 1e-12 for rate gaps from 1e-12 to 1e-4.
+        def exact(t, eps0, eps_star):
+            t, a, b = Decimal(t), Decimal(eps0), Decimal(eps_star)
+            return 1 - (a * a * (-b * t).exp() - b * b * (-a * t).exp()) / (2 * (a * a - b * b))
+
+        with localcontext() as ctx:
+            ctx.prec = 60
+            for gap in 10.0 ** -np.arange(4, 13):
+                for eps0 in (0.3, 1.0, 2.5):
+                    for eps_star in (eps0 * (1.0 + gap), eps0 * (1.0 - gap)):
+                        for t in (0.05, 0.7, 3.0, 20.0):
+                            want = exact(t, eps0, eps_star)
+                            got = tail_probability(t, eps0, eps_star)
+                            assert abs(Decimal(got) - want) <= Decimal(1e-12), (gap, eps0, t)
+
     def test_tail_rejects_negative_t(self):
         with pytest.raises(ValueError):
             tail_probability(-0.1, 1.0, 1.0)
@@ -254,14 +293,15 @@ class TestConfidence:
 def test_gap_variance_matches_closed_form():
     # Monotonic counting queries, Laplace, k=5, theta = 1/(1+cbrt(k^2)):
     # var(gap) = 2 (1+cbrt(25))^3 / eps^2, estimated over far-above queries.
+    # Every run reads exactly 2 draws, so the kernel's rows are the runs of
+    # a per-call loop on SeededSource(3).
     k, eps = 5, 1.0
     theta = theta_optimal(k, "middle", True, "laplace")
     cfg = SvtConfig(epsilon=eps, k=k, threshold=0.0, theta=theta, monotonic=True)
     qs = QuerySet((1e6,), monotonic=True)
-    gaps = np.empty(100_000)
-    src = SeededSource(3)
-    for trial in range(gaps.size):
-        gaps[trial] = gap_svt(qs, cfg, src).items[0].gap
+    codes, gaps, used = kernel_runs(svt_batch(qs, cfg), 100_000, 3)
+    assert (used == 2).all() and (codes == 1).all()
+    gaps = gaps[:, 0]
     expected = 2.0 * (1.0 + 25.0 ** (1.0 / 3.0)) ** 3 / eps**2
     assert gaps.var() == pytest.approx(expected, rel=0.03)
 

@@ -9,6 +9,10 @@ epsilon falsifies the implementation.  The auditor proves nothing: it is a
 falsification tool, and ``flagged`` marks an exceedance beyond the sampling
 slack (three binomial standard errors of the worst bin's log-ratio).
 
+A mechanism returns a result whose ``audit_output()`` gives (discrete
+structure, released gaps), as every result class here does, or that pair
+itself; :func:`as_audit_output` takes either.
+
 Each input gets its own seeded stream.  A mechanism callable may opt into
 a batch path by carrying a ``batch`` attribute: ``mech.batch(data)``
 returns ``(draws, kernel, early_stop)``.  ``draws`` is the most uniforms
@@ -25,14 +29,10 @@ run in chunks of at most 4096 rows, each binned with one ``np.unique``.
 
 A callable without the attribute (or any wrapper around one, since
 ``__wrapped__`` is never followed) runs one scalar call per trial.  Either
-way the audit certifies what actually ran.  On the batch path that is the
-kernel.  For every mechanism but the black-box exponential mechanism the
-kernel is also the released mechanism: a fixed-draw public function (top-k,
-the hybrids, Gumbel-max) runs it on one row, and a sparse-vector scan runs
-it on one look-ahead window of its source.  The black-box exponential
-mechanism keeps its scalar public form.  The oracle tests in
-``tests/test_audit_kernels.py`` pin every kernel row by row to an
-independent loop reference.
+way the audit certifies what ran: on the batch path, the kernel, which
+every public mechanism but the black-box exponential mechanism runs
+itself.  The oracle tests in ``tests/test_audit_kernels.py`` pin every
+kernel row by row to an independent loop reference.
 
 Trials are independent, so the per-input histograms may be sharded across
 workers and merged by summing counts.
@@ -43,17 +43,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import singledispatch
 from typing import Callable, Optional
 
 import numpy as np
 
-from .expmech import ExpMechResult
-from .hybrid import HybridResult
 from .noise import RandomSource, ReplaySource, SeededSource
 from .queries import QuerySet
-from .svt import SvtResult
-from .topk import TopKResult
 
 __all__ = [
     "AuditConfig",
@@ -73,11 +68,9 @@ _STREAM_OFFSET = 0x9E3779B97F4A7C15
 # kernel that stops early.  It bounds the kernel's working set at a few MB.
 _CHUNK = 4096
 
-# Rows the kernel cannot bin exactly are replayed through the mechanism
-# callable instead: rows holding a zero draw, which can map to infinite
-# noise (the kernel sees those zeros masked), and rows with a gap bin at or
-# beyond this magnitude, which could not be cast to int64 (the scalar path
-# raises on an infinite one).
+# Rows with a gap bin at or beyond this magnitude are replayed through the
+# mechanism callable and binned as on the scalar path, which raises on an
+# infinite one, instead of being packed with the kernel's other rows.
 _MAX_BIN = 2.0**62
 
 
@@ -118,50 +111,21 @@ class AuditReport:
     mechanism: str = ""
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "mechanism": self.mechanism,
-                "eps_claimed": self.eps_claimed,
-                "eps_hat": self.eps_hat,
-                "trials": self.trials,
-                "bins": self.bins,
-                "flagged": self.flagged,
-            }
-        )
+        fields = ("mechanism", "eps_claimed", "eps_hat", "trials", "bins", "flagged", "slack")
+        return json.dumps({name: getattr(self, name) for name in fields})
 
 
-@singledispatch
 def as_audit_output(result) -> tuple[tuple, tuple[float, ...]]:
-    """Split a mechanism result into (discrete structure, released reals)."""
-    raise TypeError(f"no audit output adapter for {type(result).__name__}")
-
-
-@as_audit_output.register
-def _(result: tuple):
-    discrete, reals = result
-    return tuple(discrete), tuple(reals)
-
-
-@as_audit_output.register
-def _(result: SvtResult):
-    return result.audit_output()
-
-
-@as_audit_output.register
-def _(result: TopKResult):
-    return result.indices, result.gaps
-
-
-@as_audit_output.register
-def _(result: HybridResult):
-    return tuple(index for index, _ in result.pairs), tuple(
-        gap for _, gap in result.pairs
-    )
-
-
-@as_audit_output.register
-def _(result: ExpMechResult):
-    return (result.selected,), (result.gap,)
+    """Split a mechanism result into (discrete structure, released reals):
+    ``result.audit_output()``, or a raw ``(discrete, reals)`` pair as
+    scalar test and planted mechanisms return it."""
+    if isinstance(result, tuple):
+        discrete, reals = result
+        return tuple(discrete), tuple(reals)
+    audit_output = getattr(result, "audit_output", None)
+    if audit_output is None:
+        raise TypeError(f"{type(result).__name__} has no audit_output()")
+    return audit_output()
 
 
 def _key(result, width: float) -> tuple:
@@ -181,11 +145,6 @@ def _histogram(
             counts[key] = counts.get(key, 0) + 1
         return counts
 
-    def replay(row: np.ndarray):
-        """The mechanism callable on one row, and how many draws it read."""
-        source = ReplaySource(row)
-        return mech(data, source), len(row) - source.remaining
-
     draws, kernel, early_stop = batch(data)
     parts = []
     carry = np.empty(0)
@@ -197,30 +156,21 @@ def _histogram(
             wanted = min(_CHUNK + draws - 1, (cfg.trials - done) * draws)
             stream = np.concatenate([carry, src.uniform_matrix(1, wanted - len(carry))[0]])
             U = np.lib.stride_tricks.sliding_window_view(stream, draws)
-        else:
-            U = src.uniform_matrix(min(_CHUNK, cfg.trials - done), draws)
-        zeros = U == 0.0
-        odd = zeros.any(axis=1) if zeros.any() else np.zeros(len(U), dtype=bool)
-        masked = np.where(zeros, 0.5, U) if odd.any() else U
-        if early_stop:
-            codes, gaps, used = kernel(masked)
-            for at in np.flatnonzero(odd):  # how far the scalar mechanism reads
-                used[at] = replay(U[at])[1]
+            codes, gaps, used = kernel(U)
             starts = _chain(used, cfg.trials - done)
             carry = stream[starts[-1] + used[starts[-1]]:]
-            codes, gaps, U, odd = codes[starts], gaps[starts], U[starts], odd[starts]
+            codes, gaps, U = codes[starts], gaps[starts], U[starts]
         else:
-            codes, gaps = kernel(masked)
+            U = src.uniform_matrix(min(_CHUNK, cfg.trials - done), draws)
+            codes, gaps = kernel(U)
         done += len(U)
         bins = np.floor(gaps / width)
-        huge = np.abs(bins) >= _MAX_BIN
+        huge = (np.abs(bins) >= _MAX_BIN).any(axis=1)
         if huge.any():
-            odd |= huge.any(axis=1)
-        if odd.any():
-            for row in U[odd]:
-                key = _key(replay(row)[0], width)
+            for row in U[huge]:
+                key = _key(mech(data, ReplaySource(row)), width)
                 counts[key] = counts.get(key, 0) + 1
-            codes, bins = codes[~odd], bins[~odd]
+            codes, bins = codes[~huge], bins[~huge]
         if len(codes):
             parts.append(_distinct(codes, bins))
     if parts:

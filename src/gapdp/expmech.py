@@ -83,6 +83,10 @@ class ExpMechResult:
     selected: int
     gap: float
 
+    def audit_output(self) -> tuple[tuple[int], tuple[float]]:
+        """The winner and its gap: what the auditor bins."""
+        return (self.selected,), (self.gap,)
+
 
 def log_sum_exp_excluding(scores: Sequence[float], s: int) -> float:
     """log of sum(exp(scores[i])) over i != s, max-subtracted for stability."""

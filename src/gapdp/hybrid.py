@@ -52,6 +52,10 @@ class HybridResult:
     actual_cost: float
     variant: str
 
+    def audit_output(self) -> tuple[tuple[int, ...], tuple[float, ...]]:
+        """The released indices and their gaps: what the auditor bins."""
+        return tuple(index for index, _ in self.pairs), tuple(gap for _, gap in self.pairs)
+
     def query_pairs(self) -> tuple[tuple[int, float], ...]:
         """Pairs for real queries only, as 0-based (index, gap)."""
         if self.variant == "identity":

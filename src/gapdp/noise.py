@@ -19,7 +19,8 @@ family at several scales, ``unit_array`` and ``from_unit``) and
 floating-point operations as its scalar twin, so the two agree up to the
 last-ulp differences between numpy's and ``math``'s ``log``/``log1p``/
 ``exp``; a draw of exactly 0 maps to the same value (-inf for Laplace and
-Gumbel).
+Gumbel).  Only a :class:`ReplaySource` can hold such a draw:
+:class:`SeededSource` returns 2**-54 in its place.
 
 Distribution conventions:
 
@@ -119,12 +120,19 @@ def _read_only(values: np.ndarray) -> np.ndarray:
     return values
 
 
-class SeededSource(RandomSource):
-    """PCG64-backed uniform stream; the same seed yields the same stream."""
+_BLOCK = 4096  # the most draws one refill of a SeededSource takes
+# A SeededSource's exact-zero draw becomes this; every other draw is a
+# multiple of 2**-53, so none changes.
+_ZERO_DRAW = 2.0**-54
 
-    def __init__(self, seed: int | np.random.SeedSequence, block: int = 4096):
+
+class SeededSource(RandomSource):
+    """PCG64-backed uniform stream; the same seed yields the same stream.
+    An exact-zero draw (p = 2**-53), which Laplace and Gumbel noise map to
+    -inf, comes out as 2**-54."""
+
+    def __init__(self, seed: int | np.random.SeedSequence):
         self._gen = np.random.Generator(np.random.PCG64(seed))
-        self._block = int(block)
         self._next_block = 32  # grow refills so short-lived sources stay cheap
         # Drawn but unread: _ahead[_pos:].  _buf is _ahead as a list, which
         # keeps uniform() near a list index; peek() empties it when it
@@ -145,17 +153,22 @@ class SeededSource(RandomSource):
         if self._pos < len(self._ahead):
             self._ahead = self._ahead[self._pos:]
         else:
-            self._ahead = _read_only(self._gen.random(self._next_block))
-            self._next_block = min(2 * self._next_block, self._block)
+            self._ahead = _read_only(self._draw(self._next_block))
+            self._next_block = min(2 * self._next_block, _BLOCK)
         self._pos = 0
         self._buf = self._ahead.tolist()
+
+    def _draw(self, n: int) -> np.ndarray:
+        """The generator's next ``n`` draws, an exact zero raised to 2**-54."""
+        draws = self._gen.random(n)
+        return np.maximum(draws, _ZERO_DRAW, out=draws)
 
     def uniform_matrix(self, rows: int, cols: int) -> np.ndarray:
         # Drain the buffer first so the matrix continues the scalar stream.
         n = rows * cols
         head = self._ahead[self._pos:self._pos + n]
         self._pos += len(head)
-        tail = self._gen.random(n - len(head))
+        tail = self._draw(n - len(head))
         if len(head):
             tail = np.concatenate([head, tail])
         return tail.reshape(rows, cols)
@@ -163,7 +176,7 @@ class SeededSource(RandomSource):
     def peek(self, n: int) -> np.ndarray:
         short = self._pos + n - len(self._ahead)
         if short > 0:
-            fresh = self._gen.random(max(short, self._next_block))
+            fresh = self._draw(max(short, self._next_block))
             self._ahead = _read_only(np.concatenate([self._ahead[self._pos:], fresh]))
             self._buf = []
             self._pos = 0

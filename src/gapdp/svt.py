@@ -19,8 +19,9 @@ the audit and the experiment harness also run over many trials at once.  A
 release cannot know beforehand how many draws its scan takes, so it runs
 the kernel on a look-ahead window of its source (:meth:`RandomSource.peek`)
 that doubles until the scan stops, then consumes exactly the draws the scan
-read.  The result keeps the kernel's tags and gaps; :class:`SvtItem` objects
-are built only when asked for.
+read.  The result is a frozen record of the scan's tags and released gaps,
+which is also what the auditor bins; :class:`SvtItem` objects are built
+from it only when asked for.
 
 Also here: the budget-split tuner :func:`theta_optimal`, and the lower
 confidence machinery for gap estimates (:func:`tail_probability`,
@@ -30,9 +31,10 @@ confidence machinery for gap estimates (:func:`tail_probability`,
 from __future__ import annotations
 
 import math
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional
+from itertools import compress
+from typing import Optional
 
 import numpy as np
 
@@ -149,80 +151,34 @@ class SvtItem:
 _BRANCHES = (None, "middle", "top")  # per scan tag: 0 below, 1 middle, 2 top
 
 
+@dataclass(frozen=True)
 class SvtResult:
-    """One scan's outcome: an :class:`SvtItem` per scanned query, in scan
-    order, and the budget ledger.
+    """One scan's outcome: a tag per scanned query in scan order (0 below,
+    1 middle, 2 top), the released gaps in scan order, the budget each tag
+    charges, ``(0.0, eps1, eps2)``, and the ledger.  ``items`` and
+    :meth:`above_items` build :class:`SvtItem` objects from them on read."""
 
-    A release keeps the scan's tags and gaps and builds ``items``
-    on first access; :meth:`above_items` builds only the reports.
-    ``SvtResult(items, ledger)`` makes one from items.  Results are
-    immutable and compare and hash by ``(items, ledger)``.
-    """
-
-    __slots__ = ("ledger", "_items", "_scan")
-
-    def __init__(self, items: Iterable[SvtItem], ledger: BudgetLedger):
-        object.__setattr__(self, "ledger", ledger)
-        object.__setattr__(self, "_items", tuple(items))
-        object.__setattr__(self, "_scan", None)
-
-    @classmethod
-    def _of_scan(cls, tags: np.ndarray, gaps: np.ndarray, cfg: SvtConfig,
-                 ledger: BudgetLedger) -> "SvtResult":
-        """The result of a scan under ``cfg`` that gave query i the tag
-        ``tags[i]`` (0 below, 1 middle, 2 top) and, if above, the gap
-        ``gaps[i]``."""
-        result = cls.__new__(cls)
-        object.__setattr__(result, "ledger", ledger)
-        object.__setattr__(result, "_items", None)
-        object.__setattr__(result, "_scan", (tags, gaps, cfg))
-        return result
-
-    def _build(self, at: np.ndarray) -> tuple[SvtItem, ...]:
-        tags, gaps, cfg = self._scan
-        charges = (0.0, cfg.eps1, cfg.eps2)
-        return tuple(
-            SvtItem(i, t > 0, g if t else 0.0, _BRANCHES[t], charges[t])
-            for i, t, g in zip(at.tolist(), tags[at].tolist(), gaps[at].tolist())
-        )
+    tags: tuple[int, ...]
+    gaps: tuple[float, ...]
+    charges: tuple[float, float, float]
+    ledger: BudgetLedger
 
     @property
     def items(self) -> tuple[SvtItem, ...]:
-        if self._items is None:
-            object.__setattr__(self, "_items", self._build(np.arange(len(self._scan[0]))))
-        return self._items
+        """An :class:`SvtItem` per scanned query, in scan order."""
+        gaps = iter(self.gaps)
+        return tuple(SvtItem(i, t > 0, next(gaps) if t else 0.0, _BRANCHES[t], self.charges[t])
+                     for i, t in enumerate(self.tags))
 
     def above_items(self) -> tuple[SvtItem, ...]:
-        if self._items is not None:
-            return tuple(item for item in self._items if item.above)
-        return self._build(np.flatnonzero(self._scan[0]))
+        """The :class:`SvtItem` of each above-threshold report."""
+        above = compress(range(len(self.tags)), self.tags)
+        return tuple(SvtItem(i, True, g, _BRANCHES[self.tags[i]], self.charges[self.tags[i]])
+                     for i, g in zip(above, self.gaps))
 
     def audit_output(self) -> tuple[tuple[int, ...], tuple[float, ...]]:
-        """The tag of each scanned query (0 below, 1 middle, 2 top) and the
-        released gaps in scan order: what the auditor bins."""
-        if self._items is not None:
-            return (tuple(0 if not item.above else 1 if item.branch == "middle" else 2
-                          for item in self._items),
-                    tuple(item.gap for item in self._items if item.above))
-        tags, gaps, _ = self._scan
-        return tuple(tags.tolist()), tuple(gaps[tags > 0].tolist())
-
-    def __eq__(self, other):
-        if not isinstance(other, SvtResult):
-            return NotImplemented
-        return (self.items, self.ledger) == (other.items, other.ledger)
-
-    def __hash__(self):
-        return hash((self.items, self.ledger))
-
-    def __repr__(self):
-        return f"SvtResult(items={self.items!r}, ledger={self.ledger!r})"
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __reduce__(self):
-        return SvtResult, (self.items, self.ledger)
+        """The tags and the released gaps: what the auditor bins."""
+        return self.tags, self.gaps
 
 
 def _require_integer_queries(q: QuerySet, cfg: SvtConfig) -> None:
@@ -274,8 +230,10 @@ def _release(q: QuerySet, cfg: SvtConfig, src: RandomSource) -> SvtResult:
         queries = min(2 * queries, n)
     scanned = min(scanned, queries)
     src.advance(1 + step * scanned)
-    return SvtResult._of_scan(tags[:scanned, 0], gaps[:scanned, 0], cfg,
-                              BudgetLedger(cfg.epsilon, float(consumed[scanned - 1, 0])))
+    tags, gaps = tags[:scanned, 0], gaps[:scanned, 0]
+    return SvtResult(tuple(tags.tolist()), tuple(gaps[tags > 0].tolist()),
+                     (0.0, cfg.eps1, cfg.eps2),
+                     BudgetLedger(cfg.epsilon, float(consumed[scanned - 1, 0])))
 
 
 def gap_svt(q: QuerySet, cfg: SvtConfig, src: RandomSource) -> SvtResult:

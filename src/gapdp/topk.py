@@ -39,6 +39,10 @@ class TopKResult:
     def gaps(self) -> tuple[float, ...]:
         return tuple(gap for _, gap in self.pairs)
 
+    def audit_output(self) -> tuple[tuple[int, ...], tuple[float, ...]]:
+        """The ranked indices and their gaps: what the auditor bins."""
+        return self.indices, self.gaps
+
 
 def gap_topk(
     q: QuerySet,

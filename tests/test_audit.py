@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import json
+import pickle
 
 import pytest
 
@@ -10,12 +13,20 @@ from gapdp.audit import (
     estimate_epsilon,
     tie_probability_bound,
 )
-from gapdp.expmech import ExpMechResult
-from gapdp.hybrid import HybridResult
-from gapdp.noise import Laplace, sample
+from gapdp.expmech import ExpMechResult, UtilityTable, exp_mech_blackbox_gap, exp_mech_gumbel
+from gapdp.hybrid import HybridResult, hybrid_estimates, hybrid_identity
+from gapdp.noise import Laplace, SeededSource, sample
 from gapdp.queries import QuerySet, adjacent_counts
 from gapdp.harness import _batched
-from gapdp.svt import BudgetLedger, SvtConfig, SvtItem, SvtResult, gap_svt, svt_batch
+from gapdp.svt import (
+    BudgetLedger,
+    SvtConfig,
+    SvtItem,
+    SvtResult,
+    adaptive_svt,
+    gap_svt,
+    svt_batch,
+)
 from gapdp.topk import TopKResult, gap_topk, gap_topk_batch
 
 
@@ -26,14 +37,17 @@ def scalar_laplace(eps):
 
 class TestAdapters:
     def test_svt_result(self):
-        items = (
+        result = SvtResult((0, 1, 2, 0), (2.5, 9.0), (0.0, 0.1, 0.05), BudgetLedger(1.0, 0.5))
+        discrete, reals = as_audit_output(result)
+        assert discrete == (0, 1, 2, 0)
+        assert reals == (2.5, 9.0)
+        assert result.items == (
             SvtItem(0, False, 0.0, None, 0.0),
             SvtItem(1, True, 2.5, "middle", 0.1),
             SvtItem(2, True, 9.0, "top", 0.05),
+            SvtItem(3, False, 0.0, None, 0.0),
         )
-        discrete, reals = as_audit_output(SvtResult(items, BudgetLedger(1.0, 0.5)))
-        assert discrete == (0, 1, 2)
-        assert reals == (2.5, 9.0)
+        assert result.above_items() == result.items[1:3]
 
     def test_topk_result(self):
         discrete, reals = as_audit_output(TopKResult(((3, 1.5), (0, 0.5)), 1.0))
@@ -78,7 +92,36 @@ class TestConfigAndReport:
             "trials": 10_000,
             "bins": 17,
             "flagged": False,
+            "slack": 0.1,
         }
+
+
+RECORD_QUERIES = QuerySet((0.0, 9.0, 1.0, 12.0, 3.0, 15.0, 2.0, 8.0, 11.0, 4.0))
+RECORD_TABLE = UtilityTable((0.0, 2.0, 1.0, 3.0), sensitivity=1.0, epsilon=1.0)
+RELEASES = {
+    "gap_svt": lambda src: gap_svt(RECORD_QUERIES, SvtConfig(1.0, 3, 6.0, 0.3), src),
+    "adaptive_svt": lambda src: adaptive_svt(
+        RECORD_QUERIES, SvtConfig(1.0, 3, 6.0, 0.3, adaptive=True), src),
+    "gap_topk": lambda src: gap_topk(RECORD_QUERIES, 3, 1.0, "laplace", src),
+    "hybrid_identity": lambda src: hybrid_identity(RECORD_QUERIES, 6.0, 3, 1.0, src),
+    "hybrid_estimates": lambda src: hybrid_estimates(RECORD_QUERIES, 6.0, 3, 1.0, 0.3, src),
+    "exp_mech_gumbel": lambda src: exp_mech_gumbel(RECORD_TABLE, src),
+    "exp_mech_blackbox_gap": lambda src: exp_mech_blackbox_gap(RECORD_TABLE, src),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RELEASES))
+def test_results_are_frozen_records_of_their_audit_output(name):
+    result = RELEASES[name](SeededSource(5))
+    assert result == RELEASES[name](SeededSource(5))
+    clone = pickle.loads(pickle.dumps(result))
+    assert clone == result and hash(clone) == hash(result)
+    assert copy.copy(result) == result and hash(copy.copy(result)) == hash(result)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(result, dataclasses.fields(result)[0].name, None)
+    discrete, reals = as_audit_output(result)
+    assert (discrete, reals) == result.audit_output()
+    assert len(reals) > 0 and all(isinstance(g, float) for g in reals)
 
 
 def test_constant_mechanism_has_no_privacy_loss():

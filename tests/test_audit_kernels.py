@@ -390,28 +390,25 @@ def test_uniform_matrix_continues_the_scalar_stream():
     assert replay.uniform_matrix(2, 7).ravel().tolist() == drawn[:14]
 
 
-def one_trial(mech, data, row, width):
-    cfg = SimpleNamespace(trials=1, bin_width=width)
-    try:
-        return audit._histogram(mech, data, ReplaySource(row), cfg)
-    except (OverflowError, ValueError) as exc:
-        return type(exc)
+def test_bins_beyond_int64_are_replayed_through_the_mechanism():
+    # The top query's gap of ~1e19 bins at ~2e19, past audit._MAX_BIN: the
+    # batch path bins those trials from public calls on their rows, and the
+    # report is the scalar path's.
+    case = CASES["gap_topk_laplace"]
+    calls = []
 
+    def counted(qs, src):
+        calls.append(1)
+        return case.mech(qs, src)
 
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_zero_draws_raise_where_the_scalar_path_raises(name):
-    # A draw of exactly 0 maps Laplace and Gumbel noise to -inf; the scalar
-    # path then raises in math.floor wherever an infinite gap (one zero) or
-    # a NaN gap (two zeros) is released, and counts the trial otherwise.
-    case = CASES[name]
-    rng = np.random.default_rng(99)
-    for data in inputs(case):
-        draws = case.mech.batch(data)[0]
-        for pair in itertools.combinations_with_replacement(range(draws), 2):
-            for row in (np.full(draws, 0.5), rng.random(draws)):
-                row[list(pair)] = 0.0
-                want = one_trial(scalar_only(case.mech), data, row, case.bin_width)
-                assert one_trial(case.mech, data, row, case.bin_width) == want, (pair, row)
+    counted.batch = case.mech.batch
+    d = QuerySet((0.0, 1e19, 0.0), monotonic=True)
+    d_prime = adjacent_counts(d, range(3), +1)
+    cfg = AuditConfig(trials=10_000, bin_width=0.5, min_count=100, seed=4)
+    batch = estimate_epsilon(counted, d, d_prime, cfg, EPS / 2)
+    assert len(calls) == 2 * cfg.trials
+    assert batch == estimate_epsilon(scalar_only(case.mech), d, d_prime, cfg, EPS / 2)
+    assert batch.bins >= 1
 
 
 def test_array_inverse_cdfs_match_scalar_ones():

@@ -131,6 +131,36 @@ def test_peek_does_not_consume():
     assert [fresh.uniform() for _ in range(5000)] == ahead.tolist()
 
 
+# PCG64's 128-bit LCG multiplier.
+_PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def one_step_before_zero(seed: int) -> SeededSource:
+    """A source whose generator's next step reaches the all-zero PCG64
+    state, so that its next raw draw is exactly 0.0."""
+    src = SeededSource(seed)
+    state = src._gen.bit_generator.state
+    inc = state["state"]["inc"]
+    state["state"]["state"] = (-inc * pow(_PCG64_MULTIPLIER, -1, 2**128)) % 2**128
+    src._gen.bit_generator.state = state
+    return src
+
+
+def test_seeded_source_never_returns_an_exact_zero():
+    # A raw 0.0 becomes 2**-54, below every other draw, whichever way the
+    # stream is read; the draws after it are the generator's own.
+    raw = one_step_before_zero(3)._gen.random(50)
+    assert raw[0] == 0.0 and raw[1:].min() > 0.0
+    for read in (lambda s: [s.uniform() for _ in range(50)],
+                 lambda s: s.uniform_matrix(5, 10).ravel().tolist(),
+                 lambda s: s.peek(50).tolist()):
+        drawn = read(one_step_before_zero(3))
+        assert drawn == [2.0**-54] + raw[1:].tolist()
+    u = one_step_before_zero(3).uniform()
+    for kind in (Laplace(1.0), Gumbel(0.0)):
+        assert math.isfinite(kind.inverse_cdf(u))
+
+
 def test_look_ahead_and_draws_interleave_into_one_stream():
     a, b = SeededSource(9), SeededSource(9)
     drawn = [a.uniform() for _ in range(5)]

@@ -12,6 +12,10 @@ Two implementations with identical joint output law:
 
 The second form matters because production samplers for the categorical step
 can be arbitrary; any selector can be wrapped and still release the gap.
+Its release reads one table per :class:`UtilityTable`, built once in O(n):
+the running softmax weights and every outcome's gap location.  After that a
+release costs O(log n) (a bisection for the default selector) and the audit
+kernel reads the same table.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ import bisect
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -53,6 +58,8 @@ class UtilityTable:
     scores: tuple[float, ...]
     sensitivity: float
     epsilon: float
+    #: :meth:`scaled_scores`, built once.
+    _scaled: tuple[float, ...] = field(init=False, repr=False, compare=False)
     #: :meth:`scaled_scores` as a read-only float64 array, built once.
     scaled_array: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -65,7 +72,9 @@ class UtilityTable:
         if not self.epsilon > 0.0:
             raise ValueError("epsilon must be > 0")
         object.__setattr__(self, "scores", vals)
-        scaled = np.array(self.scaled_scores())
+        factor = self.epsilon / (2.0 * self.sensitivity)
+        object.__setattr__(self, "_scaled", tuple(factor * v for v in vals))
+        scaled = np.array(self._scaled)
         finite = np.isfinite(scaled)
         if not finite.all():
             raise ValueError(f"scaled score {scaled[~finite][0]} is not finite")
@@ -74,8 +83,28 @@ class UtilityTable:
 
     def scaled_scores(self) -> tuple[float, ...]:
         """x_i = epsilon * score_i / (2 * sensitivity); the only scale used."""
-        factor = self.epsilon / (2.0 * self.sensitivity)
-        return tuple(factor * v for v in self.scores)
+        return self._scaled
+
+    @cached_property
+    def _softmax_table(self) -> tuple[list[float], np.ndarray]:
+        """What every black-box release on this table reads, built once in
+        O(n): the running sums of the softmax weights exp(x - max) in index
+        order, whose last entry is their total, and each outcome's gap location
+        x_s - logsumexp of the other scaled scores, as a float64 array."""
+        scaled = self._scaled
+        weights = _softmax_weights(scaled)
+        cumulative = list(itertools.accumulate(weights))
+        # The weights other than s: those before it plus those after it.
+        others = np.zeros(len(scaled))
+        others[1:] += cumulative[:-1]
+        others[:-1] += np.cumsum(weights[:0:-1])[::-1]
+        top = int(np.argmax(self.scaled_array))
+        with np.errstate(divide="ignore"):  # log(0) at a lone maximum, replaced below
+            locations = self.scaled_array - (scaled[top] + np.log(others))
+        # At the first maximum the rivals can all underflow against it, so
+        # take the log-sum-exp over them at their own maximum instead.
+        locations[top] = scaled[top] - log_sum_exp_excluding(scaled, top)
+        return cumulative, locations
 
 
 @dataclass(frozen=True)
@@ -128,19 +157,24 @@ def exp_mech_gumbel_batch(u: UtilityTable):
     return len(scaled), kernel, False
 
 
-def _softmax_cumulative(scaled: Sequence[float]) -> tuple[list[float], float]:
-    """The running sums of the softmax weights exp(x - max) in index order,
-    and the weights' total."""
+def _softmax_weights(scaled: Sequence[float]) -> list[float]:
+    """The softmax weights exp(x - max) in index order."""
     m = max(scaled)
-    weights = [math.exp(x - m) for x in scaled]
-    return list(itertools.accumulate(weights)), sum(weights)
+    return [math.exp(x - m) for x in scaled]
+
+
+def _inverse_cdf_pick(cumulative: list[float], u: float) -> int:
+    """The first outcome whose running weight exceeds ``u`` times the total,
+    which is the last running weight (never a separately rounded sum, so a
+    ``u`` just below 1 cannot pass every running weight)."""
+    return min(bisect.bisect_right(cumulative, u * cumulative[-1]), len(cumulative) - 1)
 
 
 def categorical_softmax_selector(scaled: Sequence[float], src: RandomSource) -> int:
     """Inverse-CDF draw from the softmax over the scaled scores: the first
     outcome whose running weight exceeds a uniform share of the total."""
-    cumulative, total = _softmax_cumulative(scaled)
-    return min(bisect.bisect_right(cumulative, src.uniform() * total), len(scaled) - 1)
+    cumulative = list(itertools.accumulate(_softmax_weights(scaled)))
+    return _inverse_cdf_pick(cumulative, src.uniform())
 
 
 def exp_mech_blackbox_gap(
@@ -154,13 +188,18 @@ def exp_mech_blackbox_gap(
     law over the scaled scores (defaults to the inverse-CDF softmax draw).
     The gap is then a positive-conditioned logistic draw at location
     x_s - log(sum of exp(x_i) over i != s), which reproduces the joint
-    distribution of the Gumbel-max construction.
+    distribution of the Gumbel-max construction.  Both steps read the
+    table's cached running weights and locations, so a release with the
+    default selector costs one bisection; the selector's draws come first.
     """
-    scaled = u.scaled_scores()
-    choose = selector if selector is not None else categorical_softmax_selector
-    s = choose(scaled, src)
-    location = scaled[s] - log_sum_exp_excluding(scaled, s)
-    return ExpMechResult(s, sample_logistic_nonneg(location, src))
+    cumulative, locations = u._softmax_table
+    if selector is None:
+        s = _inverse_cdf_pick(cumulative, src.uniform())
+    else:
+        s = selector(u.scaled_scores(), src)
+        if not 0 <= s < len(cumulative):
+            raise IndexError(f"selector chose {s}, out of range for {len(cumulative)} outcomes")
+    return ExpMechResult(s, sample_logistic_nonneg(float(locations[s]), src))
 
 
 def exp_mech_blackbox_batch(u: UtilityTable):
@@ -169,20 +208,16 @@ def exp_mech_blackbox_batch(u: UtilityTable):
 
     Returns ``(2, kernel, False)``; ``kernel(U)`` maps a (trials, 2)
     uniform matrix (selector draw, gap draw) to every trial's winner (int64,
-    trials x 1) and gap (float64, trials x 1).  It searches the running
-    weights of :func:`_softmax_cumulative`, as the default selector does, so
-    both pick the same outcome.
+    trials x 1) and gap (float64, trials x 1).  It reads the table the
+    release reads, and searches its running weights as the default selector
+    does, so both pick the same outcome at the same location.
     """
-    scaled = u.scaled_scores()
-    cumulative, total = _softmax_cumulative(scaled)
-    last = len(scaled) - 1
-    locations = np.array(
-        [scaled[s] - log_sum_exp_excluding(scaled, s) for s in range(len(scaled))]
-    )
+    cumulative, locations = u._softmax_table
+    running, total, last = np.array(cumulative), cumulative[-1], len(cumulative) - 1
 
     def kernel(U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # The first i whose running weight exceeds u * total, as the selector finds it.
-        s = np.minimum(np.searchsorted(cumulative, U[:, 0] * total, side="right"), last)
+        s = np.minimum(np.searchsorted(running, U[:, 0] * total, side="right"), last)
         return s[:, None], sample_logistic_nonneg_array(locations[s], U[:, 1])[:, None]
 
     return 2, kernel, False

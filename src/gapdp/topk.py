@@ -80,12 +80,35 @@ def _selection_noise(q: QuerySet, k: int, eps: float, noise: str) -> NoiseKind:
     return selection.kind
 
 
+#: Rows at least this wide select their ``count`` largest entries with
+#: ``np.partition`` before sorting only those; narrower rows sort whole.
+#: Measured with numpy 2.4 on a shared 2-core x86 host (best of 7, count
+#: 11): 1x1000 took 36 us by sort against 52 us by partition, 1x1200 63
+#: against 41 us, 1x10^4 1028 against 141 us, and 4096x3 (the audit's
+#: chunks, count 3) 230 against 1109 us.
+_PARTITION_COLUMNS = 1200
+
+
 def ranked(noisy: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
     """Per row, the indices and values of the ``count`` largest entries in
     descending order.  Equal entries keep their index order, so ties go to
     the lowest index, and a -inf entry (the noise of a zero draw) ranks last."""
-    order = np.argsort(-noisy, axis=1, kind="stable")[:, :count]
-    return order, noisy[np.arange(len(noisy))[:, None], order]
+    rows = np.arange(len(noisy))[:, None]
+    negated = -noisy
+    if noisy.shape[1] < _PARTITION_COLUMNS:
+        order = np.argsort(negated, axis=1, kind="stable")[:, :count]
+    else:
+        # Keep the entries above the count-th largest value, and as many of
+        # the entries equal to it as are still needed, lowest index first:
+        # exactly the columns a stable sort puts first.  Then sort only those.
+        cut = np.partition(negated, count - 1, axis=1)[:, count - 1 : count]
+        above = negated < cut
+        tied = negated == cut
+        needed = count - np.count_nonzero(above, axis=1)[:, None]
+        keep = above | (tied & (np.cumsum(tied, axis=1) <= needed))
+        chosen = np.nonzero(keep)[1].reshape(len(noisy), count)
+        order = chosen[rows, np.argsort(negated[rows, chosen], axis=1, kind="stable")]
+    return order, noisy[rows, order]
 
 
 def top_gaps(noisy: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:

@@ -248,9 +248,9 @@ def same_reals(got, want):
 def test_public_call_is_kernel_row(name):
     # A public call reads exactly the draws of the kernel's row 0 (all of
     # them for a fixed-draw mechanism, ``used`` for a scan) and releases that
-    # row.  The black-box mechanism keeps its selector protocol, so its
-    # public call is a loop of its own and agrees with the kernel's row to
-    # the same 1e-12 as the references.
+    # row.  The black-box mechanism keeps its selector protocol: its public
+    # call reads the kernel's table but draws the gap with the scalar
+    # sampler, so it agrees with the kernel's row to the references' 1e-12.
     case = CASES[name]
     rng = np.random.default_rng(41)
     for data in inputs(case):

@@ -4,14 +4,17 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from gapdp import expmech
 from gapdp.expmech import (
     UtilityTable,
+    categorical_softmax_selector,
+    exp_mech_blackbox_batch,
     exp_mech_blackbox_gap,
     exp_mech_gumbel,
     exp_mech_gumbel_batch,
     log_sum_exp_excluding,
 )
-from gapdp.noise import Gumbel, ReplaySource, SeededSource, sample
+from gapdp.noise import Gumbel, ReplaySource, SeededSource, sample, sample_logistic_nonneg
 
 from conftest import kernel_runs
 
@@ -51,6 +54,7 @@ def test_utility_table_validation():
         UtilityTable((1.0, 2.0), 1.0, -1.0)
     table = UtilityTable((4.0, 8.0), 2.0, 1.0)
     assert table.scaled_scores() == (1.0, 2.0)
+    assert table.scaled_scores() is table.scaled_scores()
 
 
 def _selection_frequencies(mechanism, table, runs, seed):
@@ -160,6 +164,100 @@ class TestBlackboxMechanism:
         result = exp_mech_blackbox_gap(table, src, selector=lambda scaled, s: 1)
         assert result.selected == 1
         assert result.gap > 0.0
+
+    def test_custom_selector_draws_before_the_gap(self):
+        table = UtilityTable((0.0, 1.0, 2.0), 1.0, 1.0)
+        seen = []
+
+        def selector(scaled, src):
+            seen.append((scaled, src.uniform()))
+            return 1
+
+        result = exp_mech_blackbox_gap(table, ReplaySource([0.25, 0.75]), selector)
+        assert seen == [(table.scaled_scores(), 0.25)]
+        x = table.scaled_scores()
+        location = x[1] - log_sum_exp_excluding(x, 1)
+        assert result.gap == pytest.approx(
+            sample_logistic_nonneg(location, ReplaySource([0.75])), rel=1e-12
+        )
+        # The default selector, passed in, releases what the default path does.
+        for seed in range(20):
+            assert exp_mech_blackbox_gap(table, SeededSource(seed)) == exp_mech_blackbox_gap(
+                table, SeededSource(seed), categorical_softmax_selector
+            )
+
+    def test_selector_out_of_range_is_an_error(self):
+        table = UtilityTable((0.0, 1.0, 2.0), 1.0, 1.0)
+        for choice in (-1, 3):
+            with pytest.raises(IndexError):
+                exp_mech_blackbox_gap(table, SeededSource(0), lambda scaled, s: choice)
+
+
+def _dataset_table():
+    rng = np.random.default_rng(3)
+    return UtilityTable(tuple(rng.zipf(1.3, 10_000) % 5000), 1.0, 0.7)
+
+
+# Tied maxima, a lone maximum whose rivals underflow against it (scaled
+# (0, -800, -800)), one not in the first place, and equal scores.
+SMALL_TABLES = [
+    UtilityTable((0.3, -0.7, 1.1, 0.0), 1.0, 2.0),
+    UtilityTable((2.0, 5.0, 5.0, 1.0, 5.0, -3.0), 1.0, 1.0),
+    UtilityTable((0.0, -800.0, -800.0), 1.0, 2.0),
+    UtilityTable((-800.0, 0.0, -800.0, -801.0), 1.0, 2.0),
+    UtilityTable((0.0, 0.0, -800.0), 1.0, 2.0),
+    UtilityTable((1.0, 1.0), 1.0, 1.0),
+]
+
+
+class TestSoftmaxTable:
+    """The table every black-box release and its audit kernel read."""
+
+    @staticmethod
+    def assert_location(table, s):
+        # The table sums the rivals' weights in another order than
+        # log_sum_exp_excluding, so the two differ in the last bits.
+        _, locations = table._softmax_table
+        x = table.scaled_scores()
+        want = x[s] - log_sum_exp_excluding(x, s)
+        assert math.isfinite(locations[s])
+        assert math.isclose(locations[s], want, rel_tol=1e-12, abs_tol=1e-12), (s, want)
+
+    @pytest.mark.parametrize("table", SMALL_TABLES)
+    def test_every_location_at_small_n(self, table):
+        for s in range(len(table.scores)):
+            self.assert_location(table, s)
+
+    def test_sampled_locations_at_dataset_scale(self):
+        table = _dataset_table()
+        picks = np.random.default_rng(4).choice(len(table.scores), 40, replace=False)
+        for s in [int(np.argmax(table.scaled_array)), 0, len(table.scores) - 1, *picks]:
+            self.assert_location(table, s)
+
+    @pytest.mark.parametrize("table", SMALL_TABLES[:3] + [_dataset_table()])
+    def test_release_and_audit_kernel_agree_on_the_same_uniforms(self, table):
+        draws, kernel, _ = exp_mech_blackbox_batch(table)
+        U = np.vstack([np.random.default_rng(5).random((300, draws)), [[1e-300, 1e-300]]])
+        codes, gaps = kernel(U)
+        for row, code, gap in zip(U, codes[:, 0], gaps[:, 0]):
+            result = exp_mech_blackbox_gap(table, ReplaySource(row))
+            assert result.selected == code
+            assert math.isclose(result.gap, gap, rel_tol=1e-12, abs_tol=1e-12)
+
+    def test_total_is_the_last_running_weight(self, monkeypatch):
+        # Python >= 3.12 sums floats with compensation, as math.fsum does.  A
+        # total summed that way can exceed the last running weight, and a draw
+        # just below 1 then passes every running weight and picks the last
+        # outcome, whose weight is ~1e-16, instead of the first.
+        monkeypatch.setattr(expmech, "sum", math.fsum, raising=False)
+        table = UtilityTable((0.0,) + (-36.8,) * 10, 1.0, 2.0)
+        u = 1.0 - 2.0**-53
+        assert exp_mech_blackbox_gap(table, ReplaySource([u, 0.5])).selected == 0
+        assert categorical_softmax_selector(table.scaled_scores(), ReplaySource([u])) == 0
+        _, kernel, _ = exp_mech_blackbox_batch(table)
+        assert kernel(np.array([[u, 0.5]]))[0][0, 0] == 0
+        cumulative, _ = table._softmax_table
+        assert cumulative[-1] == 1.0 < math.fsum(math.exp(x) for x in table.scaled_scores())
 
 
 def _gap_samples(mechanism, table, runs, seed):

@@ -5,7 +5,8 @@ import pytest
 
 from gapdp.noise import Exponential, Laplace, ReplaySource, SeededSource, sample
 from gapdp.queries import QuerySet
-from gapdp.topk import gap_topk, gap_topk_batch, pairwise_gap
+from gapdp import topk
+from gapdp.topk import gap_topk, gap_topk_batch, pairwise_gap, ranked
 
 from conftest import kernel_runs
 
@@ -40,6 +41,34 @@ def test_missing_source_is_a_clear_error():
 def test_tie_break_prefers_lowest_index():
     result = gap_topk(QuerySet((7.0, 7.0, 7.0)), 2, 1.0, "laplace", zero_source(3))
     assert result.indices == (0, 1)
+
+
+@pytest.mark.parametrize("rows", [1, 32])
+@pytest.mark.parametrize("n", [topk._PARTITION_COLUMNS + 1, 10_000])
+def test_ranked_by_partition_matches_a_stable_sort(rows, n):
+    # Rows this wide select by partition before sorting; the result must be
+    # what a stable sort of the whole row gives, ties and infinities included.
+    assert n >= topk._PARTITION_COLUMNS
+    rng = np.random.default_rng(n + rows)
+    noisy = rng.integers(0, 4, (rows, n)).astype(float)
+    for value in (np.inf, -np.inf):
+        noisy[rng.random((rows, n)) < 0.001] = value
+    noisy[0, :] = 3.0  # one row tied everywhere
+    noisy[-1, :40] = np.inf  # and one whose top entries are all +inf
+    want = np.argsort(-noisy, axis=1, kind="stable")
+    for count in (1, 11, n):
+        order, values = ranked(noisy, count)
+        assert np.array_equal(order, want[:, :count])
+        assert np.array_equal(values, np.take_along_axis(noisy, want[:, :count], axis=1))
+
+
+def test_zero_noise_boundary_ties_go_to_the_lowest_index_at_dataset_scale():
+    n, k = 10_000, 3
+    values = np.zeros(n)
+    values[[9999, 4000]] = (100.0, 90.0)
+    values[[9000, 7000, 123, 5000]] = 50.0  # ranks 3 to 6 tie across the k/k+1 boundary
+    result = gap_topk(QuerySet(tuple(values)), k, 1.0, "laplace", zero_source(n))
+    assert result.pairs == ((9999, 10.0), (4000, 40.0), (123, 0.0))
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

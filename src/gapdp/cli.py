@@ -7,6 +7,7 @@ Exit codes: 0 on success, 1 on configuration errors, 2 on data errors
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from typing import Optional, Sequence
 
@@ -63,10 +64,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # Built once per process: parse_args leaves the parser as it found it.
+    return build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         cfg = ExperimentConfig(
             experiment=args.experiment,
             eps=_parse_float_list(args.eps),

@@ -255,8 +255,7 @@ class _RatioAccumulator:
 
     def __init__(self, trials: int):
         self.trials = trials
-        self.base = [0.0] * _N_BATCHES
-        self.new = [0.0] * _N_BATCHES
+        self.sums = np.zeros((2, _N_BATCHES))  # baseline, then new, per batch
 
     def add(self, trial: np.ndarray, base_sq: np.ndarray, new_sq: np.ndarray) -> None:
         """Add squared errors listed in trial-then-item order, ``trial[i]``
@@ -266,20 +265,29 @@ class _RatioAccumulator:
         if not len(trial):
             return
         batch = trial * _N_BATCHES // self.trials
-        bounds = np.flatnonzero(np.diff(batch)) + 1
-        for b, base, new in zip(batch[np.r_[0, bounds]].tolist(),
-                                np.split(base_sq, bounds), np.split(new_sq, bounds)):
-            self.base[b] = float(np.cumsum(np.r_[self.base[b], base])[-1])
-            self.new[b] = float(np.cumsum(np.r_[self.new[b], new])[-1])
+        start = np.flatnonzero(np.diff(batch, prepend=-1))
+        length = np.diff(start, append=len(batch))
+        touched = batch[start]  # distinct: trials come in order
+        # One row per touched batch: its running sum, its entries in order,
+        # then zeros.  Adding +0.0 leaves a sum of squares as it is, so the
+        # last column of the row-wise cumsum is the left-to-right batch sum.
+        rows = np.repeat(np.arange(len(start)), length)
+        cols = np.arange(1, len(batch) + 1) - np.repeat(start, length)
+        table = np.zeros((2, len(start), 1 + int(length.max())))
+        table[:, :, 0] = self.sums[:, touched]
+        table[0, rows, cols] = base_sq
+        table[1, rows, cols] = new_sq
+        self.sums[:, touched] = np.cumsum(table, axis=2)[:, :, -1]
 
     def reduction(self) -> tuple[float, float]:
-        total_base = sum(self.base)
-        total_new = sum(self.new)
+        base, new = self.sums.tolist()
+        total_base = sum(base)
+        total_new = sum(new)
         if total_base <= 0.0:
             return math.nan, math.nan
         overall = 1.0 - total_new / total_base
         ratios = [
-            1.0 - n / b for n, b in zip(self.new, self.base) if b > 0.0
+            1.0 - n / b for n, b in zip(new, base) if b > 0.0
         ]
         _, stderr = _mean_stderr(ratios)
         return overall, stderr

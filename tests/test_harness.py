@@ -473,16 +473,18 @@ def test_batched_runners_match_scalar_reference(experiment, noise, mono):
 def test_ratio_accumulator_sums_left_to_right_whatever_the_chunks():
     # The batch sums must equal a scalar left-to-right sum however the
     # entries are split into calls; np.sum adds pairwise and rounds otherwise.
+    # Below 50 trials every trial is a batch of its own and some batches
+    # stay empty; a single call spans every batch at once.
     rng = np.random.default_rng(8)
-    trials = 997
-    trial = np.sort(rng.integers(0, trials, 20_000))
-    base_sq, new_sq = rng.random(20_000) * 1e3, rng.random(20_000)
-    want_base, want_new = [0.0] * 50, [0.0] * 50
-    for t, b, n in zip(trial.tolist(), base_sq.tolist(), new_sq.tolist()):
-        want_base[t * 50 // trials] += b
-        want_new[t * 50 // trials] += n
-    for chunk in (len(trial), 4096, 7):
-        acc = harness._RatioAccumulator(trials)
-        for s in range(0, len(trial), chunk):
-            acc.add(trial[s:s + chunk], base_sq[s:s + chunk], new_sq[s:s + chunk])
-        assert acc.base == want_base and acc.new == want_new, chunk
+    for trials in (997, 30, 1):
+        trial = np.sort(rng.integers(0, trials, 20_000))
+        base_sq, new_sq = rng.random(20_000) * 1e3, rng.random(20_000)
+        want_base, want_new = [0.0] * 50, [0.0] * 50
+        for t, b, n in zip(trial.tolist(), base_sq.tolist(), new_sq.tolist()):
+            want_base[t * 50 // trials] += b
+            want_new[t * 50 // trials] += n
+        for chunk in (len(trial), 4096, 7):
+            acc = harness._RatioAccumulator(trials)
+            for s in range(0, len(trial), chunk):
+                acc.add(trial[s:s + chunk], base_sq[s:s + chunk], new_sq[s:s + chunk])
+            assert acc.sums.tolist() == [want_base, want_new], (trials, chunk)

@@ -1,9 +1,9 @@
 """Experiment harness: desk-scale reproductions of the evaluation suite.
 
-Experiments (all fully deterministic in (config, seed); trial t draws from
-``SeedSequence(seed, spawn_key=(t, stream))``, stream 1 feeding the second
-scan of a compared pair, so no two trials, streams or seeds share a stream
-and aggregation is order-free):
+Experiments (all fully deterministic in (config, seed); each (eps, k) cell
+reads ``SeedSequence(seed, spawn_key=(stream,))`` from its start, stream 1
+feeding the second scan of a compared pair, so every cell sees the same
+random numbers and a cell's rows do not depend on which other cells ran):
 
 * ``mse-reduction-svt``   -- percent MSE reduction from fusing sparse-vector
   gap estimates with direct measurements, against the variance-model theory.
@@ -20,16 +20,18 @@ and aggregation is order-free):
 
 Thresholds are drawn per trial from the true top-2k..top-8k ranked values.
 
-Each (eps, k) cell runs as numpy code over chunks of ``_CHUNK`` trials:
-trial t's row of the chunk's uniform matrix holds the first draws of its
-own stream, as many as the trial can read.  The rows go through the audit's
-kernels (:func:`gapdp.svt.svt_batch`, with one threshold per row, and
-:func:`gapdp.topk.gap_topk_batch`), the measurement draws are gathered at
-each row's ``used`` offset, and :func:`gapdp.postprocess.blue_topk_rows` or
+Each (eps, k) cell runs as numpy code over chunks of ``_CHUNK`` trials.
+A cell has one source per stream, and each chunk takes the next rows of
+its uniform matrix, ``width`` draws per trial (as many as a trial can
+read), so trial t owns draws ``[t*width, (t+1)*width)`` of the stream.  The
+rows go through the audit's kernels (:func:`gapdp.svt.svt_batch`, with one
+threshold per row, and :func:`gapdp.topk.gap_topk_batch`), the measurement
+draws are gathered at each row's ``used`` offset, and
+:func:`gapdp.postprocess.blue_topk_rows` or
 :func:`~gapdp.postprocess.fuse_svt_rows` combines them.  Each trial reads
-the uniforms a scalar run on its stream would read and every sum keeps the
-scalar left-to-right order, so the output does not depend on the chunking;
-``tests/test_harness.py`` holds the scalar per-trial reference.
+the uniforms a scalar run replaying its block would read and every sum
+keeps the scalar left-to-right order, so the output does not depend on the
+chunking; ``tests/test_harness.py`` holds the scalar per-trial reference.
 
 Synthetic data replaces the transaction datasets with a spec string such as
 ``n=200,step=100,base=1000,order=shuffle,mono=1``.
@@ -98,8 +100,9 @@ EXPERIMENTS = (
 
 _N_BATCHES = 50  # batches for standard errors of pooled-ratio statistics
 
-# Trials per array chunk.  Every trial owns a stream, so the chunk size
-# changes no output; 32 rows keep an n = 200 scan's arrays under a megabyte.
+# Trials per array chunk.  Every trial owns a fixed block of its cell's
+# stream, so the chunk size changes no output; 32 rows keep an n = 200
+# scan's arrays under a megabyte.
 _CHUNK = 32
 
 
@@ -213,12 +216,10 @@ def _chunks(trials: int):
     return (range(start, min(start + _CHUNK, trials)) for start in range(0, trials, _CHUNK))
 
 
-def _trial_uniforms(seed: int, trials: range, width: int, stream: int = 0) -> np.ndarray:
-    """Row i: the first ``width`` draws of trial ``trials[i]``'s stream."""
-    return np.vstack([
-        SeededSource(np.random.SeedSequence(seed, spawn_key=(t, stream))).uniform_matrix(1, width)
-        for t in trials
-    ])
+def _cell_source(cfg: ExperimentConfig, stream: int = 0) -> SeededSource:
+    """A fresh source for one (eps, k) cell: every cell reads the same
+    streams from their start."""
+    return SeededSource(np.random.SeedSequence(cfg.seed, spawn_key=(stream,)))
 
 
 def _svt_config(cfg: ExperimentConfig, qs: QuerySet, eps: float, k: int, theta: float,
@@ -322,10 +323,11 @@ def _mse_reduction_svt(cfg: ExperimentConfig, qs: QuerySet) -> list[dict]:
             model = svt_variance_model(k, eps, theta, cfg.noise, qs.monotonic)
             draws, scan, _ = svt_batch(qs, _svt_config(cfg, qs, eps / 2.0, k, theta))
             acc = _RatioAccumulator(cfg.trials)
+            src = _cell_source(cfg)
             for trials in _chunks(cfg.trials):
                 # A trial draws its threshold rank, runs the scan, then
                 # measures each of its m answers: at most 1 + draws + n.
-                U = _trial_uniforms(cfg.seed, trials, 1 + draws + n)
+                U = src.uniform_matrix(len(trials), 1 + draws + n)
                 thresholds = _thresholds(qs, k, U[:, 0])
                 codes, gaps, used = scan(U[:, 1:1 + draws], thresholds)
                 answered = codes > 0
@@ -374,9 +376,10 @@ def _mse_reduction_topk(cfg: ExperimentConfig, qs: QuerySet) -> list[dict]:
             lam = selection.variance / measurement.variance
             _, select, _ = gap_topk_batch(qs, k, eps_param, cfg.noise)
             acc = _RatioAccumulator(cfg.trials)
+            src = _cell_source(cfg)
             for trials in _chunks(cfg.trials):
                 # n selection draws, then one measurement per rank.
-                U = _trial_uniforms(cfg.seed, trials, n + k)
+                U = src.uniform_matrix(len(trials), n + k)
                 index, gaps = select(U[:, :n])
                 true = values[index]
                 alphas = true + measurement.kind.inverse_cdf_array(U[:, n:])
@@ -396,10 +399,11 @@ def _compared_scans(cfg: ExperimentConfig, qs: QuerySet, eps: float, k: int, the
     adaptive scan (stream 1), both at budget ``eps``."""
     draws, scan, _ = svt_batch(qs, _svt_config(cfg, qs, eps, k, theta))
     alt_draws, alt_scan, _ = svt_batch(qs, _svt_config(cfg, qs, eps, k, theta, adaptive=True))
+    src, alt_src = _cell_source(cfg), _cell_source(cfg, stream=1)
     for trials in _chunks(cfg.trials):
-        U = _trial_uniforms(cfg.seed, trials, 1 + draws)
+        U = src.uniform_matrix(len(trials), 1 + draws)
         thresholds = _thresholds(qs, k, U[:, 0])
-        alt = _trial_uniforms(cfg.seed, trials, alt_draws, stream=1)
+        alt = alt_src.uniform_matrix(len(trials), alt_draws)
         yield thresholds, scan(U[:, 1:], thresholds)[0], alt_scan(alt, thresholds)[0]
 
 
@@ -465,8 +469,9 @@ def _remaining_budget(cfg: ExperimentConfig, qs: QuerySet) -> list[dict]:
             svt_cfg = _svt_config(cfg, qs, eps, k, theta, adaptive=True)
             draws, scan, _ = svt_batch(qs, svt_cfg)
             fractions = []
+            src = _cell_source(cfg)
             for trials in _chunks(cfg.trials):
-                U = _trial_uniforms(cfg.seed, trials, 1 + draws)
+                U = src.uniform_matrix(len(trials), 1 + draws)
                 codes = scan(U[:, 1:], _thresholds(qs, k, U[:, 0]))[0]
                 # Stop the scan after k answers: budget spent up to then.
                 cost = np.select([codes == 2, codes == 1], [svt_cfg.eps2, svt_cfg.eps1], 0.0)

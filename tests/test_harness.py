@@ -15,7 +15,7 @@ from gapdp.harness import (
     standard_audit_cases,
     synthetic_queries,
 )
-from gapdp.noise import Laplace, SeededSource, sample
+from gapdp.noise import Laplace, ReplaySource, SeededSource, sample
 from gapdp.postprocess import BlueInput, VarianceModel, blue_topk, fuse_svt, svt_variance_model
 from gapdp.svt import SvtConfig, adaptive_svt, gap_svt
 from gapdp.topk import gap_topk
@@ -332,14 +332,18 @@ class TestCli:
 #
 # The harness runs each (eps, k) cell as array code over chunks of trials.
 # This reference runs the same experiments one trial at a time through the
-# public mechanisms, one call per trial on trial t's own stream.  Its
-# sparse-vector and measurement noise comes from ``math``'s log1p where the
-# kernels use numpy's, which differ in the last bit, so the MSE statistics
-# agree to 1e-9 relative and at the 6 digits written out; counts, precision
-# and budget fractions agree exactly.
+# public mechanisms, one call per trial, replaying trial t's block of the
+# cell's stream: draws [t*width, (t+1)*width), width being the most a trial
+# can read.  A trial that reads past its block raises.  Its sparse-vector
+# and measurement noise comes from ``math``'s log1p where the kernels use
+# numpy's, which differ in the last bit, so the MSE statistics agree to
+# 1e-9 relative and at the 6 digits written out; counts, precision and
+# budget fractions agree exactly.
 
-def trial_source(cfg, t, stream=0):
-    return SeededSource(np.random.SeedSequence(cfg.seed, spawn_key=(t, stream)))
+def trial_sources(cfg, width, stream=0):
+    """Trial t's block of the cell's stream ``stream``, as a replay source."""
+    src = SeededSource(np.random.SeedSequence(cfg.seed, spawn_key=(stream,)))
+    return [ReplaySource(row) for row in src.uniform_matrix(cfg.trials, width)]
 
 
 def draw_threshold(desc, k, u):
@@ -366,13 +370,15 @@ def pooled(errors, trials):
 def reference_cell(cfg, qs, eps, k):
     """(empirical, stderr) of each row of one (eps, k) cell."""
     desc = sorted(qs.values, reverse=True)
-    trials = range(cfg.trials)
+    n = len(qs.values)
+    # A threshold draw, then the scan's own threshold noise and one draw per
+    # query, two for the adaptive scan.
+    single, adaptive_width = 2 + n, 2 + 2 * n
     if cfg.experiment == "mse-reduction-topk":
         lam = {("laplace", True): 1.0, ("laplace", False): 4.0,
                ("exponential", True): 0.5, ("exponential", False): 2.0}[cfg.noise, qs.monotonic]
         errors = []
-        for t in trials:
-            src = trial_source(cfg, t)
+        for t, src in enumerate(trial_sources(cfg, n + k)):
             result = gap_topk(qs, k, eps if qs.monotonic else eps / 2.0, cfg.noise, src)
             alphas = [qs.values[j] + sample(Laplace(2.0 * k / eps), src) for j in result.indices]
             betas = blue_topk(BlueInput(tuple(alphas), result.gaps[: k - 1], lam))
@@ -383,8 +389,7 @@ def reference_cell(cfg, qs, eps, k):
         theta = harness._default_theta(cfg, k, qs.monotonic, eps / 2.0)
         var_gap = svt_variance_model(k, eps, theta, cfg.noise, qs.monotonic).var_gap
         errors = []
-        for t in trials:
-            src = trial_source(cfg, t)
+        for t, src in enumerate(trial_sources(cfg, single + n)):
             threshold = draw_threshold(desc, k, src.uniform())
             picked = gap_svt(qs, scan_config(cfg, qs, eps / 2.0, k, threshold, theta),
                              src).above_items()
@@ -398,8 +403,11 @@ def reference_cell(cfg, qs, eps, k):
         return [pooled(errors, cfg.trials)]
     theta = harness._default_theta(cfg, k, qs.monotonic, eps)
     samples = {}
-    for t in trials:
-        src = trial_source(cfg, t)
+    if cfg.experiment == "remaining-budget":
+        sources = zip(trial_sources(cfg, adaptive_width), [None] * cfg.trials)
+    else:
+        sources = zip(trial_sources(cfg, single), trial_sources(cfg, adaptive_width - 1, 1))
+    for src, alt_src in sources:
         threshold = draw_threshold(desc, k, src.uniform())
         if cfg.experiment == "remaining-budget":
             scan_cfg = scan_config(cfg, qs, eps, k, threshold, theta, adaptive=True)
@@ -412,7 +420,7 @@ def reference_cell(cfg, qs, eps, k):
             continue
         base = gap_svt(qs, scan_config(cfg, qs, eps, k, threshold, theta), src)
         adaptive = adaptive_svt(qs, scan_config(cfg, qs, eps, k, threshold, theta, True),
-                                trial_source(cfg, t, 1))
+                                alt_src)
         if cfg.experiment == "adaptive-counts":
             above = adaptive.above_items()
             for metric, count in (
@@ -488,3 +496,55 @@ def test_ratio_accumulator_sums_left_to_right_whatever_the_chunks():
             for s in range(0, len(trial), chunk):
                 acc.add(trial[s:s + chunk], base_sq[s:s + chunk], new_sq[s:s + chunk])
             assert acc.sums.tolist() == [want_base, want_new], (trials, chunk)
+
+
+TRIAL_EXPERIMENTS = [e for e in EXPERIMENTS if e != "audit"]
+
+
+def cells_cfg(experiment, eps=(0.4, 2.0), k=(2, 5), trials=97):
+    return ExperimentConfig(
+        experiment=experiment, eps=eps, k=k, trials=trials, seed=6,
+        synthetic="n=40,step=3,base=100,order=shuffle,mono=1",
+    )
+
+
+@pytest.mark.parametrize("experiment", TRIAL_EXPERIMENTS)
+def test_output_does_not_depend_on_the_chunk_size(experiment, monkeypatch):
+    # Trial t owns draws [t*width, (t+1)*width) of its cell's stream,
+    # whichever chunk it falls in.
+    outputs = set()
+    for chunk in (1, 7, 32, 1000):
+        monkeypatch.setattr(harness, "_CHUNK", chunk)
+        outputs.add(emit(run_experiment(cells_cfg(experiment))))
+    assert len(outputs) == 1
+
+
+def cell_of(row):
+    return tuple(row["parameter"].split(",")[:2])
+
+
+@pytest.mark.parametrize("experiment", TRIAL_EXPERIMENTS)
+def test_a_cell_gives_the_same_rows_alone_and_in_any_order(experiment):
+    rows = run_experiment(cells_cfg(experiment))
+    for eps in (0.4, 2.0):
+        for k in (2, 5):
+            alone = run_experiment(cells_cfg(experiment, eps=(eps,), k=(k,)))
+            within = [r for r in rows if cell_of(r) == (f"eps={eps:g}", f"k={k}")]
+            assert alone and emit(alone) == emit(within), (eps, k)
+    reordered = run_experiment(cells_cfg(experiment, eps=(2.0, 0.4), k=(5, 2)))
+    assert [cell_of(r) for r in reordered] != [cell_of(r) for r in rows]
+    assert emit(sorted(rows, key=cell_of)) == emit(sorted(reordered, key=cell_of))
+
+
+@pytest.mark.parametrize("experiment", TRIAL_EXPERIMENTS)
+def test_one_source_per_cell_and_stream(experiment, monkeypatch):
+    built = []
+
+    def counting_source(seed):
+        built.append((seed.entropy, seed.spawn_key))
+        return SeededSource(seed)
+
+    monkeypatch.setattr(harness, "SeededSource", counting_source)
+    run_experiment(cells_cfg(experiment))
+    streams = [(0,), (1,)] if experiment in ("adaptive-counts", "precision-fmeasure") else [(0,)]
+    assert built == [(6, key) for key in streams] * 4

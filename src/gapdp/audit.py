@@ -15,17 +15,21 @@ itself; :func:`as_audit_output` takes either.
 
 Each input gets its own seeded stream.  A mechanism callable may opt into
 a batch path by carrying a ``batch`` attribute: ``mech.batch(data)``
-returns ``(draws, kernel, early_stop)``.  ``draws`` is the most uniforms
-one trial reads, and ``kernel(U)`` maps a (trials, draws) uniform matrix to
+returns ``(draws, kernel, reach)``.  ``draws`` is the most uniforms one
+trial reads, and ``kernel(U)`` maps a (trials, draws) uniform matrix to
 every trial's ``codes`` (int64, padded with -1) and ``gaps`` (float64,
 padded with NaN).  With padding dropped, row r must equal
-``as_audit_output(mech(data, ReplaySource(U[r])))``.  A mechanism whose
-trials can stop before reading all ``draws`` (``early_stop``) also returns
-``used``, the uniforms each row's trial read; the auditor then hands the
-kernel one window of the stream per offset and chains the trials through
-them, so that either way the batch path reads exactly the uniforms the
-scalar loop reads and gives the same histogram for the same seed.  Trials
-run in chunks of at most 4096 rows, each binned with one ``np.unique``.
+``as_audit_output(mech(data, ReplaySource(U[r])))``.  ``reach`` is None
+when every trial reads all ``draws``: the auditor then hands the kernel
+the next rows of the stream.  A mechanism whose trials can stop early
+returns ``used`` from the kernel as a third array, the uniforms each row's
+trial read, and ``reach(stream)``, which gives that ``used`` for every
+window ``stream[s:s + draws]`` of a 1-D stream without running the whole
+kernel.  The auditor chains the trials through ``reach``'s counts, each
+starting where the one before stopped reading, and runs the kernel on
+those windows only.  Either way the batch path reads exactly the uniforms
+the scalar loop reads and gives the same histogram for the same seed.
+Trials run in chunks of at most 4096, each binned with one ``np.unique``.
 
 A callable without the attribute (or any wrapper around one, since
 ``__wrapped__`` is never followed) runs one scalar call per trial.  Either
@@ -42,12 +46,13 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from .noise import RandomSource, ReplaySource, SeededSource
+from .noise import RandomSource, SeededSource
 from .queries import QuerySet
 
 __all__ = [
@@ -64,14 +69,14 @@ Mechanism = Callable[[QuerySet, RandomSource], object]
 # Offset separating the two input streams; any fixed constant works.
 _STREAM_OFFSET = 0x9E3779B97F4A7C15
 
-# Rows per kernel call on the batch path: trials, or stream windows for a
-# kernel that stops early.  It bounds the kernel's working set at a few MB.
+# Trials per kernel call on the batch path.  It bounds the kernel's working
+# set at a few MB.
 _CHUNK = 4096
-
-# Rows with a gap bin at or beyond this magnitude are replayed through the
-# mechanism callable and binned as on the scalar path, which raises on an
-# infinite one, instead of being packed with the kernel's other rows.
-_MAX_BIN = 2.0**62
+# For a kernel that stops early, the trials a chunk's stream holds if each
+# reads every draw.  They read fewer, so a chunk runs more trials than this,
+# and ``reach`` holds about a dozen arrays as long as the stream: half of
+# _CHUNK keeps the peak working set near a fixed-draw chunk's.
+_STREAM_TRIALS = _CHUNK // 2
 
 
 class AuditError(RuntimeError):
@@ -130,57 +135,48 @@ def as_audit_output(result) -> tuple[tuple, tuple[float, ...]]:
 
 def _key(result, width: float) -> tuple:
     discrete, reals = as_audit_output(result)
-    return discrete, tuple(math.floor(g / width) for g in reals)
+    return discrete, tuple([math.floor(g / width) for g in reals])
 
 
 def _histogram(
     mech: Mechanism, data: QuerySet, src: RandomSource, cfg: AuditConfig
 ) -> dict:
-    counts: dict = {}
     width = cfg.bin_width
     batch = getattr(mech, "batch", None)
     if batch is None:
-        for _ in range(cfg.trials):
-            key = _key(mech(data, src), width)
-            counts[key] = counts.get(key, 0) + 1
-        return counts
+        return Counter(_key(mech(data, src), width) for _ in range(cfg.trials))
 
-    draws, kernel, early_stop = batch(data)
+    draws, kernel, reach = batch(data)
     parts = []
     carry = np.empty(0)
     done = 0
     while done < cfg.trials:
-        if early_stop:
-            # One window of the stream per offset; each trial starts where the
-            # one before it stopped reading, as in the scalar loop.
-            wanted = min(_CHUNK + draws - 1, (cfg.trials - done) * draws)
-            stream = np.concatenate([carry, src.uniform_matrix(1, wanted - len(carry))[0]])
-            U = np.lib.stride_tricks.sliding_window_view(stream, draws)
-            codes, gaps, used = kernel(U)
+        if reach is None:
+            U = src.uniform_matrix(min(_CHUNK, cfg.trials - done), draws)
+        else:
+            # A stream long enough for ``wanted`` trials, which takes every
+            # trial that starts in it: each starts where the one before it
+            # stopped reading, as in the scalar loop.  The kernel runs on the
+            # windows where trials start, and the draws after the last trial
+            # (fewer than ``draws``) begin the next chunk's stream.
+            wanted = min(_STREAM_TRIALS, cfg.trials - done)
+            fresh = src.uniform_matrix(1, wanted * draws - len(carry))[0]
+            stream = np.concatenate([carry, fresh])
+            used = reach(stream)
             starts = _chain(used, cfg.trials - done)
             carry = stream[starts[-1] + used[starts[-1]]:]
-            codes, gaps, U = codes[starts], gaps[starts], U[starts]
-        else:
-            U = src.uniform_matrix(min(_CHUNK, cfg.trials - done), draws)
-            codes, gaps = kernel(U)
+            U = np.lib.stride_tricks.sliding_window_view(stream, draws)[starts]
+        codes, gaps = kernel(U)[:2]
         done += len(U)
-        bins = np.floor(gaps / width)
-        huge = (np.abs(bins) >= _MAX_BIN).any(axis=1)
-        if huge.any():
-            for row in U[huge]:
-                key = _key(mech(data, ReplaySource(row)), width)
-                counts[key] = counts.get(key, 0) + 1
-            codes, bins = codes[~huge], bins[~huge]
-        if len(codes):
-            parts.append(_distinct(codes, bins))
-    if parts:
-        codes, bins, number = _distinct(*(np.concatenate(p) for p in zip(*parts)))
-        for c, b, n in zip(codes.tolist(), bins.tolist(), number.tolist()):
-            key = (
-                tuple(v for v in c if v != -1),
-                tuple(int(v) for v in b if not math.isnan(v)),
-            )
-            counts[key] = counts.get(key, 0) + int(n)
+        parts.append(_distinct(codes, np.floor(gaps / width)))
+    counts: dict = {}
+    codes, bins, number = _distinct(*(np.concatenate(p) for p in zip(*parts)))
+    for c, b, n in zip(codes.tolist(), bins.tolist(), number.tolist()):
+        key = (
+            tuple(v for v in c if v != -1),
+            tuple(int(v) for v in b if not math.isnan(v)),
+        )
+        counts[key] = counts.get(key, 0) + int(n)
     return counts
 
 
@@ -208,8 +204,8 @@ def _distinct(codes: np.ndarray, bins: np.ndarray, number: Optional[np.ndarray] 
     ``codes`` are -1 padded; ``bins`` are integral floats, NaN padded.
     """
     code_radix = int(codes.max(initial=0)) + 2
-    reach = int(np.fmax.reduce(np.abs(bins), axis=None, initial=0.0))
-    bin_radix = 2 * reach + 2
+    extent = int(np.fmax.reduce(np.abs(bins), axis=None, initial=0.0))
+    bin_radix = 2 * extent + 2
     a, b = codes.shape[1], bins.shape[1]
     if code_radix**a * bin_radix**b >= 2**53:
         table = np.hstack([codes, bins])
@@ -224,7 +220,7 @@ def _distinct(codes: np.ndarray, bins: np.ndarray, number: Optional[np.ndarray] 
     # np.unique(axis=0), and the unique keys decode back into rows.
     radices = np.array([code_radix] * a + [bin_radix] * b, dtype=np.float64)
     weights = np.concatenate([[1.0], np.cumprod(radices[:-1])])
-    digits = np.hstack([codes + 1, np.where(np.isnan(bins), 0.0, bins + (reach + 1))])
+    digits = np.hstack([codes + 1, np.where(np.isnan(bins), 0.0, bins + (extent + 1))])
     if number is None:
         keys, number = np.unique(digits @ weights, return_counts=True)
     else:
@@ -234,7 +230,7 @@ def _distinct(codes: np.ndarray, bins: np.ndarray, number: Optional[np.ndarray] 
     bins = digits[:, a:]
     return (
         digits[:, :a].astype(np.int64) - 1,
-        np.where(bins == 0.0, np.nan, bins - (reach + 1)),
+        np.where(bins == 0.0, np.nan, bins - (extent + 1)),
         number,
     )
 

@@ -144,9 +144,10 @@ def exp_mech_gumbel(u: UtilityTable, src: RandomSource) -> ExpMechResult:
 def exp_mech_gumbel_batch(u: UtilityTable):
     """The kernel of :func:`exp_mech_gumbel`, which the audit runs directly.
 
-    Returns ``(n, kernel, False)``; ``kernel(U)`` maps a (trials, n)
-    uniform matrix to every trial's winner (int64, trials x 1) and gap
-    (float64, trials x 1).  Of equal maxima the first wins.
+    Returns ``(n, kernel, None)``, no trial stopping early; ``kernel(U)``
+    maps a (trials, n) uniform matrix to every trial's winner
+    (int64, trials x 1) and gap (float64, trials x 1).  Of equal maxima the
+    first wins.
     """
     scaled = u.scaled_array
     gumbel = Gumbel(0.0)
@@ -154,7 +155,7 @@ def exp_mech_gumbel_batch(u: UtilityTable):
     def kernel(U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return top_gaps(scaled + gumbel.inverse_cdf_array(U), 1)
 
-    return len(scaled), kernel, False
+    return len(scaled), kernel, None
 
 
 def _softmax_weights(scaled: Sequence[float]) -> list[float]:
@@ -206,11 +207,12 @@ def exp_mech_blackbox_batch(u: UtilityTable):
     """Batch kernel of :func:`exp_mech_blackbox_gap` with the default
     selector, for the audit.
 
-    Returns ``(2, kernel, False)``; ``kernel(U)`` maps a (trials, 2)
-    uniform matrix (selector draw, gap draw) to every trial's winner (int64,
-    trials x 1) and gap (float64, trials x 1).  It reads the table the
-    release reads, and searches its running weights as the default selector
-    does, so both pick the same outcome at the same location.
+    Returns ``(2, kernel, None)``, no trial stopping early; ``kernel(U)``
+    maps a (trials, 2) uniform matrix (selector draw, gap draw) to every
+    trial's winner (int64, trials x 1) and gap (float64, trials x 1).  It
+    reads the table the release reads, and searches its running weights as
+    the default selector does, so both pick the same outcome at the same
+    location.
     """
     cumulative, locations = u._softmax_table
     running, total, last = np.array(cumulative), cumulative[-1], len(cumulative) - 1
@@ -220,4 +222,4 @@ def exp_mech_blackbox_batch(u: UtilityTable):
         s = np.minimum(np.searchsorted(running, U[:, 0] * total, side="right"), last)
         return s[:, None], sample_logistic_nonneg_array(locations[s], U[:, 1])[:, None]
 
-    return 2, kernel, False
+    return 2, kernel, None

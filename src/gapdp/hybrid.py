@@ -105,9 +105,10 @@ def hybrid_identity_batch(q: QuerySet, threshold: float, k: int, eps: float):
     """The kernel of :func:`hybrid_identity` on ``q``, which the audit runs
     directly.
 
-    Returns ``(n + 1, kernel, False)``; ``kernel(U)`` maps a (trials, n + 1)
-    uniform matrix (threshold draw first) to every trial's released indices
-    (int64, -1 after the sentinel) and gaps (float64, NaN after it).
+    Returns ``(n + 1, kernel, None)``, no trial stopping early;
+    ``kernel(U)`` maps a (trials, n + 1) uniform matrix (threshold draw
+    first) to every trial's released indices (int64, -1 after the sentinel)
+    and gaps (float64, NaN after it).
     """
     _check(q, k, eps)
     kind = Exponential(2.0 * k / eps)
@@ -119,7 +120,7 @@ def hybrid_identity_batch(q: QuerySet, threshold: float, k: int, eps: float):
         past = np.cumsum(sentinel, axis=1) > sentinel
         return np.where(past, -1, codes), np.where(past, np.nan, gaps)
 
-    return len(offsets), kernel, False
+    return len(offsets), kernel, None
 
 
 def hybrid_estimates(
@@ -149,9 +150,10 @@ def hybrid_estimates_batch(
     """The kernel of :func:`hybrid_estimates` on ``q``, which the audit runs
     directly.
 
-    Returns ``(n + 1, kernel, False)``; ``kernel(U)`` maps a (trials, n + 1)
-    uniform matrix (threshold draw first) to every trial's released indices
-    (int64, -1 padded) and gaps over the noisy threshold (float64, NaN padded).
+    Returns ``(n + 1, kernel, None)``, no trial stopping early;
+    ``kernel(U)`` maps a (trials, n + 1) uniform matrix (threshold draw
+    first) to every trial's released indices (int64, -1 padded) and gaps
+    over the noisy threshold (float64, NaN padded).
     """
     _check(q, k, eps)
     if not 0.0 < theta < 1.0:
@@ -168,4 +170,4 @@ def hybrid_estimates_batch(
         above = np.logical_and.accumulate(top >= noisy_threshold, axis=1)
         return np.where(above, order, -1), np.where(above, top - noisy_threshold, np.nan)
 
-    return len(values) + 1, kernel, False
+    return len(values) + 1, kernel, None

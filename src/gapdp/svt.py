@@ -271,8 +271,7 @@ def adaptive_svt(q: QuerySet, cfg: SvtConfig, src: RandomSource) -> SvtResult:
 def svt_batch(q: QuerySet, cfg: SvtConfig):
     """The kernel of :func:`gap_svt` (or :func:`adaptive_svt` when
     ``cfg.adaptive``) on ``q``, which the public calls, the audit and the
-    experiment harness run: returns ``(draws, kernel, True)``, the scan
-    being able to stop early.
+    experiment harness run: returns ``(draws, kernel, reach)``.
 
     ``kernel(U, thresholds=None)`` takes a (trials, draws) uniform matrix
     laid out as a scan reads it (threshold, then per query its top draw if
@@ -283,9 +282,19 @@ def svt_batch(q: QuerySet, cfg: SvtConfig):
     trial read).  ``thresholds``, one per row, replaces ``cfg.threshold``.
     A trial stops after the query whose charge takes the consumed budget
     past ``epsilon - eps1``, and the rest of its row goes unread.
+
+    ``reach(stream)`` takes a 1-D uniform stream and returns, for every
+    offset s with a whole window ``stream[s:s + draws]``, the ``used`` the
+    kernel gives that window, without building the windows: one
+    inverse-CDF pass over the stream serves every offset.  The auditor runs
+    it first to find where back-to-back trials start, then runs the kernel
+    on those rows only.
     """
     scan = _scanner(q, cfg)
     step = 2 if cfg.adaptive else 1
+    draws = 1 + step * len(q.values)
+    thr_kind, b0, mid_kind, _, top_kind, _, _, charges = cfg._scan_constants
+    eps0, limit = cfg.eps0, cfg.epsilon - cfg.eps1
 
     def kernel(U: np.ndarray, thresholds: Optional[np.ndarray] = None):
         tags, gaps, within, _ = scan(U, thresholds)
@@ -293,7 +302,43 @@ def svt_batch(q: QuerySet, cfg: SvtConfig):
         codes = np.where(np.arange(len(tags))[:, None] < scanned, tags, -1)
         return codes.T, np.where(codes > 0, gaps, np.nan).T, 1 + step * scanned
 
-    return 1 + step * len(q.values), kernel, True
+    def reach(stream: np.ndarray) -> np.ndarray:
+        offsets = max(len(stream) - draws + 1, 0)
+        within = np.zeros(offsets, dtype=np.int64)
+        # The scan's arithmetic on shifted slices: a query's draws sit at
+        # the same distance from every window's threshold draw.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            z = thr_kind.unit_array(stream)
+            noisy_threshold = cfg.threshold + thr_kind.from_unit(z[:offsets]) - b0
+            mid = mid_kind.from_unit(z)
+            top = top_kind.from_unit(z) if cfg.adaptive else None
+            consumed = eps0
+            for j, value in enumerate(q.values):
+                at = step * (j + 1)  # the query's middle draw; its top draw is at - 1
+                tags, _ = _tag(cfg, value, noisy_threshold, mid[at:at + offsets],
+                               None if top is None else top[at - 1:at - 1 + offsets])
+                consumed = consumed + charges.take(tags)  # in scan order, as _accumulate sums
+                within += consumed <= limit
+        return 1 + step * np.minimum(within + 1, len(q.values))
+
+    return draws, kernel, reach
+
+
+def _tag(cfg: SvtConfig, value, noisy_threshold, mid, top):
+    """The sparse-vector test of one or more queries of ``value``: their tag
+    (0 below, 1 middle, 2 top) and candidate gap against
+    ``noisy_threshold``, given their middle and, for the adaptive scan, top
+    noise (``from_unit`` draws, before their centre is taken off).  Every
+    argument broadcasts, so one statement of the rule serves the kernel's
+    (query, trial) arrays and :func:`svt_batch`'s per-offset ``reach``."""
+    _, _, _, b1, _, b2, margin, _ = cfg._scan_constants
+    noisy_mid = value + mid - b1
+    gaps = noisy_mid - noisy_threshold
+    if not cfg.adaptive:
+        return (noisy_mid >= noisy_threshold).astype(np.int64), gaps
+    over_top = value + top - b2 - noisy_threshold
+    top_hit = over_top >= margin
+    return np.where(top_hit, 2, gaps >= 0.0), np.where(top_hit, over_top, gaps)
 
 
 def _scanner(q: QuerySet, cfg: SvtConfig):
@@ -308,7 +353,7 @@ def _scanner(q: QuerySet, cfg: SvtConfig):
     """
     _require_integer_queries(q, cfg)
     adaptive, eps0, limit = cfg.adaptive, cfg.eps0, cfg.epsilon - cfg.eps1
-    thr_kind, b0, mid_kind, b1, top_kind, b2, margin, charges = cfg._scan_constants
+    thr_kind, b0, mid_kind, _, top_kind, _, _, charges = cfg._scan_constants
     step = 2 if adaptive else 1
     values = q.value_array[:, None]
 
@@ -322,15 +367,8 @@ def _scanner(q: QuerySet, cfg: SvtConfig):
             # every trial's draw j, so a stream window's rows are contiguous.
             z = thr_kind.unit_array(U.T)
             noisy_threshold = threshold + thr_kind.from_unit(z[0]) - b0
-            noisy_mid = v + mid_kind.from_unit(z[step::step]) - b1
-            gaps = noisy_mid - noisy_threshold
-            if adaptive:
-                over_top = v + top_kind.from_unit(z[1::2]) - b2 - noisy_threshold
-                top_hit = over_top >= margin
-                tags = np.where(top_hit, 2, gaps >= 0.0)
-                gaps = np.where(top_hit, over_top, gaps)
-            else:
-                tags = (noisy_mid >= noisy_threshold).astype(np.int64)
+            tags, gaps = _tag(cfg, v, noisy_threshold, mid_kind.from_unit(z[step::step]),
+                              top_kind.from_unit(z[1::2]) if adaptive else None)
         # Consumed budget after each query, summed in scan order as a
         # draw-by-draw scan sums it: a query below the threshold adds 0.0,
         # which leaves the sum unchanged.

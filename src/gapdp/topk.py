@@ -131,9 +131,9 @@ def single_run(kernel, draws: int, src: RandomSource) -> tuple[tuple[int, float]
 def gap_topk_batch(q: QuerySet, k: int, eps: float, noise: str = "laplace"):
     """The kernel of :func:`gap_topk` on ``q``, which the audit runs directly.
 
-    Returns ``(n, kernel, False)``; ``kernel(U)`` maps a (trials, n) uniform
-    matrix to every trial's selected indices (int64, trials x k) and gaps
-    (float64, trials x k).
+    Returns ``(n, kernel, None)``, no trial stopping early; ``kernel(U)``
+    maps a (trials, n) uniform matrix to every trial's selected indices
+    (int64, trials x k) and gaps (float64, trials x k).
     """
     kind = _selection_noise(q, k, eps, noise)
     values = q.value_array
@@ -141,7 +141,7 @@ def gap_topk_batch(q: QuerySet, k: int, eps: float, noise: str = "laplace"):
     def kernel(U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return top_gaps(values + kind.inverse_cdf_array(U), k)
 
-    return len(values), kernel, False
+    return len(values), kernel, None
 
 
 def pairwise_gap(r: TopKResult, a: int, b: int) -> float:

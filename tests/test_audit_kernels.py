@@ -196,15 +196,16 @@ def hand_picked(draws):
 
 def assert_rows_match(mech, data, U, reference):
     """Kernel row r against ``reference(data, U[r])``: (indices, gaps), and
-    for a kernel that stops early also the draws read."""
-    draws, kernel, early_stop = mech.batch(data)
+    for a kernel that stops early (one with a ``reach``) also the draws
+    read."""
+    draws, kernel, reach = mech.batch(data)
     assert U.shape[1] == draws
     codes, gaps, *used = kernel(U)
     assert codes.dtype == np.int64 and gaps.dtype == np.float64
-    assert len(used) == early_stop
+    assert len(used) == (reach is not None)
     for r, row in enumerate(U):
         discrete, reals, *read = reference(data, row)
-        if early_stop:
+        if used:
             assert used[0][r] == read[0], (r, row)
         got_codes = tuple(int(c) for c in codes[r] if c != -1)
         got_gaps = [float(g) for g in gaps[r] if not math.isnan(g)]
@@ -254,21 +255,20 @@ def test_public_call_is_kernel_row(name):
     case = CASES[name]
     rng = np.random.default_rng(41)
     for data in inputs(case):
-        draws, kernel, early_stop = case.mech.batch(data)
+        draws, kernel, reach = case.mech.batch(data)
         for row in np.vstack([rng.random((200, draws)), hand_picked(draws)[:200]]):
             discrete, reals, read = public_call(case.mech)(data, row)
             codes, gaps, *used = kernel(row[None, :])
-            assert read == (used[0][0] if early_stop else draws)
+            assert read == (used[0][0] if reach else draws)
             assert discrete == tuple(c for c in codes[0].tolist() if c != -1), row
             row_gaps = [g for g in gaps[0].tolist() if not math.isnan(g)]
             if name == "exp_mech_blackbox":
                 assert reals == pytest.approx(row_gaps, rel=1e-12, abs=1e-12), row
             else:
                 assert list(reals) == row_gaps, row
-        if early_stop:
-            # Zero draws give infinite noise, which the audit replays through
-            # the public call: it must release what the scalar scan releases,
-            # NaN gaps included.
+        if reach:
+            # Zero draws give infinite noise: the public call must release
+            # what the scalar scan releases, NaN gaps included.
             for row in with_zero_draws(rng.random((100, draws)), rng):
                 discrete, reals, read = public_call(case.mech)(data, row)
                 want, want_reals, want_read = REFERENCES[name](data, row)
@@ -334,9 +334,42 @@ def test_svt_kernel_bodies_match_scalar_scan_with_row_thresholds(adaptive, noise
 
 def test_every_standard_case_carries_a_kernel():
     for case in standard_audit_cases(0.5):
-        draws, kernel, early_stop = case.mech.batch(case.d)
+        draws, kernel, reach = case.mech.batch(case.d)
         assert draws >= 1 and callable(kernel), case.name
-        assert early_stop == ("svt" in case.name), case.name
+        if "svt" in case.name:
+            assert callable(reach), case.name
+        else:
+            assert reach is None, case.name
+
+
+def grid_stream(rng, length):
+    """Draws from the hand-picked grid plus an exact 0.0 (Laplace noise
+    -inf) and 2**-54, the smallest draw a SeededSource gives, in random
+    order: ties, infinite noise and NaN gaps at every window position."""
+    return rng.choice([0.0, 2.0**-54, 0.25, 0.5, 0.75, TOP], length)
+
+
+REACH_CASES = [(name, data) for name in SVT_CASES for data in (CASES[name].d, CASES[name].d_prime)]
+# A monotonic adaptive scan over more queries, k = 3: charges of both
+# branches add up over several answers before a scan stops.
+REACH_CASES.append(("adaptive_svt_exponential",
+                    QuerySet((3.0, 0.0, 5.0, 1.0, 4.0, 2.0, 6.0), monotonic=True)))
+
+
+@pytest.mark.parametrize("name, data", REACH_CASES,
+                         ids=[f"{name}-{i}" for i, (name, _) in enumerate(REACH_CASES)])
+def test_reach_is_the_kernels_used_at_every_offset(name, data):
+    # reach(stream) gives, for every whole window of the stream, the draws
+    # the kernel's trial on that window reads.  Grid streams put zero draws
+    # in every position, so a missing errstate fails here as a warning.
+    cfg = svt_config(name, k=3, theta=0.4, monotonic=True) if data.monotonic else svt_config(name)
+    draws, kernel, reach = svt_batch(data, cfg)
+    rng = np.random.default_rng(len(data.values) + draws)
+    for stream in (rng.random(5000), grid_stream(rng, 5000), grid_stream(rng, draws)):
+        want = kernel(np.lib.stride_tricks.sliding_window_view(stream, draws))[2]
+        got = reach(stream)
+        assert got.dtype == want.dtype and got.tolist() == want.tolist()
+    assert len(reach(rng.random(draws - 1))) == 0  # no whole window
 
 
 def test_wrapper_is_audited_not_the_kernel_behind_it():
@@ -367,8 +400,10 @@ def test_batch_reports_equal_scalar_reports(name):
     assert batch == scalar
 
 
-@pytest.mark.parametrize("name", ["hybrid_estimates", "adaptive_svt_laplace"])
+@pytest.mark.parametrize("name", ["hybrid_estimates", *SVT_CASES])
 def test_chunk_boundary_keeps_the_stream(name):
+    # More than one chunk.  An early-stopping scan's last trial in a chunk
+    # leaves draws unread, and they begin the next chunk's stream.
     case = CASES[name]
     cfg = SimpleNamespace(trials=2 * audit._CHUNK + 1, bin_width=case.bin_width)
     batch_src, scalar_src = SeededSource(21), SeededSource(21)
@@ -390,25 +425,28 @@ def test_uniform_matrix_continues_the_scalar_stream():
     assert replay.uniform_matrix(2, 7).ravel().tolist() == drawn[:14]
 
 
-def test_bins_beyond_int64_are_replayed_through_the_mechanism():
-    # The top query's gap of ~1e19 bins at ~2e19, past audit._MAX_BIN: the
-    # batch path bins those trials from public calls on their rows, and the
-    # report is the scalar path's.
+def test_bins_beyond_int64_give_the_scalar_report():
+    # The top query's gap of ~1e19 bins at ~2e19, past int64: the batch
+    # path's float keys bin it exactly, and the report is the scalar path's.
     case = CASES["gap_topk_laplace"]
-    calls = []
-
-    def counted(qs, src):
-        calls.append(1)
-        return case.mech(qs, src)
-
-    counted.batch = case.mech.batch
     d = QuerySet((0.0, 1e19, 0.0), monotonic=True)
     d_prime = adjacent_counts(d, range(3), +1)
     cfg = AuditConfig(trials=10_000, bin_width=0.5, min_count=100, seed=4)
-    batch = estimate_epsilon(counted, d, d_prime, cfg, EPS / 2)
-    assert len(calls) == 2 * cfg.trials
+    batch = estimate_epsilon(case.mech, d, d_prime, cfg, EPS / 2)
     assert batch == estimate_epsilon(scalar_only(case.mech), d, d_prime, cfg, EPS / 2)
     assert batch.bins >= 1
+
+
+def test_infinite_gap_raises_on_both_paths():
+    # The top query clears the others by more than the largest double, so
+    # every released gap is inf.  No bin holds it: the scalar path's
+    # math.floor and the batch path's binning both raise OverflowError.
+    case = CASES["gap_topk_laplace"]
+    d = QuerySet((1.7e308, -1.7e308, -1.7e308), monotonic=True)
+    cfg = AuditConfig(trials=10_000, bin_width=0.5, min_count=100)
+    for mech in (case.mech, scalar_only(case.mech)):
+        with np.errstate(over="ignore"), pytest.raises(OverflowError):
+            estimate_epsilon(mech, d, d, cfg, EPS / 2)
 
 
 def test_array_inverse_cdfs_match_scalar_ones():
@@ -438,7 +476,7 @@ def test_broken_kernel_is_flagged():
         def kernel(U):
             return (np.empty((len(U), 0), dtype=np.int64),
                     qs.values[0] + kind.inverse_cdf_array(U))
-        return 1, kernel, False
+        return 1, kernel, None
 
     half_noise.batch = batch
     d = QuerySet((0.0,))

@@ -29,7 +29,7 @@ kernel.  The auditor chains the trials through ``reach``'s counts, each
 starting where the one before stopped reading, and runs the kernel on
 those windows only.  Either way the batch path reads exactly the uniforms
 the scalar loop reads and gives the same histogram for the same seed.
-Trials run in chunks of at most 4096, each binned with one ``np.unique``.
+Trials run in chunks of a few thousand, each binned with one ``np.unique``.
 
 A callable without the attribute (or any wrapper around one, since
 ``__wrapped__`` is never followed) runs one scalar call per trial.  Either

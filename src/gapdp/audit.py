@@ -13,17 +13,20 @@ A mechanism returns a result whose ``audit_output()`` gives (discrete
 structure, released gaps), as every result class here does, or that pair
 itself; :func:`as_audit_output` takes either.
 
-Each input gets its own seeded stream.  A mechanism callable may opt into
-a batch path by carrying a ``batch`` attribute: ``mech.batch(data)``
-returns ``(draws, kernel, reach)``.  ``draws`` is the most uniforms one
-trial reads, and ``kernel(U)`` maps a (trials, draws) uniform matrix to
-every trial's ``codes`` (int64, padded with -1) and ``gaps`` (float64,
-padded with NaN).  With padding dropped, row r must equal
-``as_audit_output(mech(data, ReplaySource(U[r])))``.  ``reach`` is None
-when every trial reads all ``draws``: the auditor then hands the kernel
-the next rows of the stream.  A mechanism whose trials can stop early
-returns ``used`` from the kernel as a third array, the uniforms each row's
-trial read, and ``reach(stream)``, which gives that ``used`` for every
+Input d draws from ``SeededSource(seed, *STREAMS["audit-d"])`` and input
+d' from ``SeededSource(seed, *STREAMS["audit-d-prime"])``: two streams of
+one seed under distinct keys (see :class:`gapdp.noise.SeededSource`).
+
+A mechanism callable may opt into a batch path by carrying a ``batch``
+attribute: ``mech.batch(data)`` returns ``(draws, kernel, reach)``.
+``draws`` is the most uniforms one trial reads, and ``kernel(U)`` maps a
+(trials, draws) uniform matrix to every trial's ``codes`` (int64, padded
+with -1) and ``gaps`` (float64, padded with NaN).  With padding dropped,
+row r must equal ``as_audit_output(mech(data, ReplaySource(U[r])))``.
+``reach`` is None when every trial reads all ``draws``: the auditor then
+hands the kernel the next rows of the stream.  A mechanism whose trials
+can stop early returns ``used`` from the kernel as a third array, the
+uniforms each row's trial read, and ``reach(stream)``, which gives that ``used`` for every
 window ``stream[s:s + draws]`` of a 1-D stream without running the whole
 kernel.  The auditor chains the trials through ``reach``'s counts, each
 starting where the one before stopped reading, and runs the kernel on
@@ -52,7 +55,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .noise import RandomSource, SeededSource
+from .noise import STREAMS, RandomSource, SeededSource
 from .queries import QuerySet
 
 __all__ = [
@@ -65,9 +68,6 @@ __all__ = [
 ]
 
 Mechanism = Callable[[QuerySet, RandomSource], object]
-
-# Offset separating the two input streams; any fixed constant works.
-_STREAM_OFFSET = 0x9E3779B97F4A7C15
 
 # Trials per kernel call on the batch path.  It bounds the kernel's working
 # set at a few MB.
@@ -245,18 +245,19 @@ def estimate_epsilon(
 ) -> AuditReport:
     """Estimate the privacy loss of ``mech`` between two adjacent inputs.
 
-    Runs ``cfg.trials`` independent executions per input (each input on its
-    own seeded stream), bins the outputs, Laplace-smooths the counts (+1) and
-    takes the largest |log frequency ratio| over bins whose raw count reaches
-    ``cfg.min_count`` on both sides.  The two-sided ratio makes the estimate
+    Runs ``cfg.trials`` independent executions per input, input d on the
+    ``audit-d`` stream of ``cfg.seed`` and d' on its ``audit-d-prime``
+    stream (:data:`gapdp.noise.STREAMS`), bins the outputs, Laplace-smooths
+    the counts (+1) and takes the largest |log frequency ratio| over bins
+    whose raw count reaches ``cfg.min_count`` on both sides.  The two-sided ratio makes the estimate
     symmetric in (d, d_prime) up to Monte-Carlo error.
 
     Raises :class:`AuditError` when no bin qualifies (increase trials or the
     bin width).
     """
-    counts_d = _histogram(mech, d, SeededSource(cfg.seed), cfg)
+    counts_d = _histogram(mech, d, SeededSource(cfg.seed, *STREAMS["audit-d"]), cfg)
     counts_dp = _histogram(
-        mech, d_prime, SeededSource(cfg.seed + _STREAM_OFFSET), cfg
+        mech, d_prime, SeededSource(cfg.seed, *STREAMS["audit-d-prime"]), cfg
     )
     n = cfg.trials
     eps_hat = -1.0

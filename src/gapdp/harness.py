@@ -1,9 +1,11 @@
 """Experiment harness: desk-scale reproductions of the evaluation suite.
 
 Experiments (all fully deterministic in (config, seed); each (eps, k) cell
-reads ``SeedSequence(seed, spawn_key=(stream,))`` from its start, stream 1
-feeding the second scan of a compared pair, so every cell sees the same
-random numbers and a cell's rows do not depend on which other cells ran):
+reads ``SeededSource(seed, *STREAMS["cell"])`` from its start, and the
+adaptive scan of a compared pair ``STREAMS["cell-adaptive"]``, so every
+cell sees the same random numbers and a cell's rows do not depend on which
+other cells ran; a shuffled synthetic set takes its order from the
+``synthetic`` stream, see :class:`gapdp.noise.SeededSource`):
 
 * ``mse-reduction-svt``   -- percent MSE reduction from fusing sparse-vector
   gap estimates with direct measurements, against the variance-model theory.
@@ -63,7 +65,7 @@ from .hybrid import (
     hybrid_identity,
     hybrid_identity_batch,
 )
-from .noise import FamilyNoise, Laplace, RandomSource, SeededSource, canonical_family
+from .noise import STREAMS, FamilyNoise, Laplace, RandomSource, SeededSource, canonical_family
 # blue_topk and fuse_svt are not called here.  They stay attributes of this
 # module because perfbench/tracer.py patches them by name.
 from .postprocess import (
@@ -184,8 +186,8 @@ def synthetic_queries(spec: str, seed: int) -> QuerySet:
     elif order == "asc":
         values.reverse()
     elif order == "shuffle":
-        rng = np.random.Generator(np.random.PCG64(seed ^ 0xA5A5A5A5))
-        values = [values[i] for i in rng.permutation(n)]
+        u = SeededSource(seed, *STREAMS["synthetic"]).uniform_matrix(1, n)[0]
+        values = [values[i] for i in np.argsort(u, kind="stable")]
     else:
         raise ConfigError(f"unknown synthetic order {order!r}")
     return QuerySet(tuple(values), monotonic=mono)
@@ -214,12 +216,6 @@ def _thresholds(qs: QuerySet, k: int, u: np.ndarray) -> np.ndarray:
 def _chunks(trials: int):
     """Consecutive ranges of at most ``_CHUNK`` trial numbers."""
     return (range(start, min(start + _CHUNK, trials)) for start in range(0, trials, _CHUNK))
-
-
-def _cell_source(cfg: ExperimentConfig, stream: int = 0) -> SeededSource:
-    """A fresh source for one (eps, k) cell: every cell reads the same
-    streams from their start."""
-    return SeededSource(np.random.SeedSequence(cfg.seed, spawn_key=(stream,)))
 
 
 def _svt_config(cfg: ExperimentConfig, qs: QuerySet, eps: float, k: int, theta: float,
@@ -323,7 +319,7 @@ def _mse_reduction_svt(cfg: ExperimentConfig, qs: QuerySet) -> list[dict]:
             model = svt_variance_model(k, eps, theta, cfg.noise, qs.monotonic)
             draws, scan, _ = svt_batch(qs, _svt_config(cfg, qs, eps / 2.0, k, theta))
             acc = _RatioAccumulator(cfg.trials)
-            src = _cell_source(cfg)
+            src = SeededSource(cfg.seed, *STREAMS["cell"])
             for trials in _chunks(cfg.trials):
                 # A trial draws its threshold rank, runs the scan, then
                 # measures each of its m answers: at most 1 + draws + n.
@@ -376,7 +372,7 @@ def _mse_reduction_topk(cfg: ExperimentConfig, qs: QuerySet) -> list[dict]:
             lam = selection.variance / measurement.variance
             _, select, _ = gap_topk_batch(qs, k, eps_param, cfg.noise)
             acc = _RatioAccumulator(cfg.trials)
-            src = _cell_source(cfg)
+            src = SeededSource(cfg.seed, *STREAMS["cell"])
             for trials in _chunks(cfg.trials):
                 # n selection draws, then one measurement per rank.
                 U = src.uniform_matrix(len(trials), n + k)
@@ -395,11 +391,12 @@ def _mse_reduction_topk(cfg: ExperimentConfig, qs: QuerySet) -> list[dict]:
 
 def _compared_scans(cfg: ExperimentConfig, qs: QuerySet, eps: float, k: int, theta: float):
     """Per chunk of trials: each trial's threshold, the codes of its
-    single-branch scan (stream 0, after the threshold draw) and those of its
-    adaptive scan (stream 1), both at budget ``eps``."""
+    single-branch scan (the ``cell`` stream, after the threshold draw) and
+    those of its adaptive scan (``cell-adaptive``), both at budget ``eps``."""
     draws, scan, _ = svt_batch(qs, _svt_config(cfg, qs, eps, k, theta))
     alt_draws, alt_scan, _ = svt_batch(qs, _svt_config(cfg, qs, eps, k, theta, adaptive=True))
-    src, alt_src = _cell_source(cfg), _cell_source(cfg, stream=1)
+    src = SeededSource(cfg.seed, *STREAMS["cell"])
+    alt_src = SeededSource(cfg.seed, *STREAMS["cell-adaptive"])
     for trials in _chunks(cfg.trials):
         U = src.uniform_matrix(len(trials), 1 + draws)
         thresholds = _thresholds(qs, k, U[:, 0])
@@ -469,7 +466,7 @@ def _remaining_budget(cfg: ExperimentConfig, qs: QuerySet) -> list[dict]:
             svt_cfg = _svt_config(cfg, qs, eps, k, theta, adaptive=True)
             draws, scan, _ = svt_batch(qs, svt_cfg)
             fractions = []
-            src = _cell_source(cfg)
+            src = SeededSource(cfg.seed, *STREAMS["cell"])
             for trials in _chunks(cfg.trials):
                 U = src.uniform_matrix(len(trials), 1 + draws)
                 codes = scan(U[:, 1:], _thresholds(qs, k, U[:, 0]))[0]

@@ -58,6 +58,7 @@ __all__ = [
     "ReplayExhaustedError",
     "ReplaySource",
     "SeededSource",
+    "STREAMS",
     "canonical_family",
     "mean_of",
     "sample",
@@ -126,13 +127,42 @@ _BLOCK = 4096  # the most draws one refill of a SeededSource takes
 _ZERO_DRAW = 2.0**-54
 
 
+# The key of every stream the package derives from a seed:
+# ``SeededSource(seed, *STREAMS[name])``.
+STREAMS = {
+    "cell": (0,),
+    "cell-adaptive": (1,),
+    "audit-d": (2,),
+    "audit-d-prime": (3,),
+    "synthetic": (4,),
+}
+
+
 class SeededSource(RandomSource):
-    """PCG64-backed uniform stream; the same seed yields the same stream.
+    """PCG64-backed uniform stream; the same (seed, key) yields the same
+    stream.
+
+    ``SeededSource(seed, *key)`` seeds ``PCG64(SeedSequence(seed,
+    spawn_key=key))``; with no key that is ``PCG64(seed)``'s stream.  Every
+    stream the package derives from a seed takes its key from ``STREAMS``:
+
+    =================  =====  ==============================================
+    name               key    feeds
+    =================  =====  ==============================================
+    ``cell``           (0,)   each (eps, k) cell of a trial experiment
+    ``cell-adaptive``  (1,)   the adaptive scan of a compared pair in a cell
+    ``audit-d``        (2,)   the audit's trials on input d
+    ``audit-d-prime``  (3,)   the audit's trials on input d'
+    ``synthetic``      (4,)   the order of a shuffled synthetic query set
+    =================  =====  ==============================================
+
     An exact-zero draw (p = 2**-53), which Laplace and Gumbel noise map to
     -inf, comes out as 2**-54."""
 
-    def __init__(self, seed: int | np.random.SeedSequence):
-        self._gen = np.random.Generator(np.random.PCG64(seed))
+    def __init__(self, seed: int, *key: int):
+        self._gen = np.random.Generator(
+            np.random.PCG64(np.random.SeedSequence(seed, spawn_key=key))
+        )
         self._next_block = 32  # grow refills so short-lived sources stay cheap
         # Drawn but unread: _ahead[_pos:].  _buf is _ahead as a list, which
         # keeps uniform() near a list index; peek() empties it when it

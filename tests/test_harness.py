@@ -15,7 +15,7 @@ from gapdp.harness import (
     standard_audit_cases,
     synthetic_queries,
 )
-from gapdp.noise import Laplace, ReplaySource, SeededSource, sample
+from gapdp.noise import STREAMS, Laplace, ReplaySource, SeededSource, sample
 from gapdp.postprocess import BlueInput, VarianceModel, blue_topk, fuse_svt, svt_variance_model
 from gapdp.svt import SvtConfig, adaptive_svt, gap_svt
 from gapdp.topk import gap_topk
@@ -340,9 +340,9 @@ class TestCli:
 # 1e-9 relative and at the 6 digits written out; counts, precision and
 # budget fractions agree exactly.
 
-def trial_sources(cfg, width, stream=0):
+def trial_sources(cfg, width, stream="cell"):
     """Trial t's block of the cell's stream ``stream``, as a replay source."""
-    src = SeededSource(np.random.SeedSequence(cfg.seed, spawn_key=(stream,)))
+    src = SeededSource(cfg.seed, *STREAMS[stream])
     return [ReplaySource(row) for row in src.uniform_matrix(cfg.trials, width)]
 
 
@@ -406,7 +406,7 @@ def reference_cell(cfg, qs, eps, k):
     if cfg.experiment == "remaining-budget":
         sources = zip(trial_sources(cfg, adaptive_width), [None] * cfg.trials)
     else:
-        sources = zip(trial_sources(cfg, single), trial_sources(cfg, adaptive_width - 1, 1))
+        sources = zip(trial_sources(cfg, single), trial_sources(cfg, adaptive_width - 1, "cell-adaptive"))
     for src, alt_src in sources:
         threshold = draw_threshold(desc, k, src.uniform())
         if cfg.experiment == "remaining-budget":
@@ -540,11 +540,12 @@ def test_a_cell_gives_the_same_rows_alone_and_in_any_order(experiment):
 def test_one_source_per_cell_and_stream(experiment, monkeypatch):
     built = []
 
-    def counting_source(seed):
-        built.append((seed.entropy, seed.spawn_key))
-        return SeededSource(seed)
+    def counting_source(seed, *key):
+        built.append((seed, key))
+        return SeededSource(seed, *key)
 
     monkeypatch.setattr(harness, "SeededSource", counting_source)
     run_experiment(cells_cfg(experiment))
-    streams = [(0,), (1,)] if experiment in ("adaptive-counts", "precision-fmeasure") else [(0,)]
-    assert built == [(6, key) for key in streams] * 4
+    streams = ["cell", "cell-adaptive"] if experiment in ("adaptive-counts",
+                                                          "precision-fmeasure") else ["cell"]
+    assert built == [(6, STREAMS["synthetic"])] + [(6, STREAMS[s]) for s in streams] * 4

@@ -6,6 +6,7 @@ from scipy import stats
 
 from gapdp.noise import (
     FAMILIES,
+    STREAMS,
     Exponential,
     FamilyNoise,
     Geometric,
@@ -112,6 +113,28 @@ def test_same_seed_same_samples(kind):
     xs = draw_many(kind, SeededSource(7), 1000)
     ys = draw_many(kind, SeededSource(7), 1000)
     assert np.array_equal(xs, ys)
+
+
+def test_no_two_seeded_streams_share_a_generator_state():
+    # Every (seed, key) the package derives, and the keyless stream, starts
+    # from its own PCG64 state: no seed's stream is a neighbour seed's
+    # stream under another key, as ``seed ^ t`` trial streams once were.
+    keys = [()] + list(STREAMS.values())
+    assert len(set(keys)) == len(keys)
+    states = set()
+    for seed in range(1024):
+        for key in keys:
+            state = SeededSource(seed, *key)._gen.bit_generator.state["state"]
+            states.add((state["state"], state["inc"]))
+    assert len(states) == 1024 * len(keys)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 5, 2**32 + 7])
+def test_keyless_source_is_numpy_pcg64_stream(seed):
+    want = np.random.Generator(np.random.PCG64(seed)).random(10_000)
+    assert np.array_equal(SeededSource(seed).uniform_matrix(1, 10_000)[0], want)
+    src = SeededSource(seed)
+    assert [src.uniform() for _ in range(10_000)] == want.tolist()
 
 
 def test_replay_source_yields_sequence_then_raises():

@@ -13,9 +13,8 @@ A mechanism returns a result whose ``audit_output()`` gives (discrete
 structure, released gaps), as every result class here does, or that pair
 itself; :func:`as_audit_output` takes either.
 
-Input d draws from ``SeededSource(seed, *STREAMS["audit-d"])`` and input
-d' from ``SeededSource(seed, *STREAMS["audit-d-prime"])``: two streams of
-one seed under distinct keys (see :class:`gapdp.noise.SeededSource`).
+Input d draws from the seed's ``audit-d`` stream and d' from its
+``audit-d-prime`` stream (see :class:`gapdp.noise.SeededSource`).
 
 A mechanism callable may opt into a batch path by carrying a ``batch``
 attribute: ``mech.batch(data)`` returns ``(draws, kernel, reach)``.
@@ -245,11 +244,11 @@ def estimate_epsilon(
 ) -> AuditReport:
     """Estimate the privacy loss of ``mech`` between two adjacent inputs.
 
-    Runs ``cfg.trials`` independent executions per input, input d on the
+    Runs ``cfg.trials`` independent executions per input, d on the
     ``audit-d`` stream of ``cfg.seed`` and d' on its ``audit-d-prime``
-    stream (:data:`gapdp.noise.STREAMS`), bins the outputs, Laplace-smooths
-    the counts (+1) and takes the largest |log frequency ratio| over bins
-    whose raw count reaches ``cfg.min_count`` on both sides.  The two-sided ratio makes the estimate
+    stream, bins the outputs, Laplace-smooths the counts (+1) and takes the
+    largest |log frequency ratio| over bins whose raw count reaches
+    ``cfg.min_count`` on both sides.  The two-sided ratio makes the estimate
     symmetric in (d, d_prime) up to Monte-Carlo error.
 
     Raises :class:`AuditError` when no bin qualifies (increase trials or the

@@ -1,11 +1,10 @@
 """Experiment harness: desk-scale reproductions of the evaluation suite.
 
 Experiments (all fully deterministic in (config, seed); each (eps, k) cell
-reads ``SeededSource(seed, *STREAMS["cell"])`` from its start, and the
-adaptive scan of a compared pair ``STREAMS["cell-adaptive"]``, so every
-cell sees the same random numbers and a cell's rows do not depend on which
-other cells ran; a shuffled synthetic set takes its order from the
-``synthetic`` stream, see :class:`gapdp.noise.SeededSource`):
+reads the seed's ``cell`` stream from its start, and the adaptive scan of
+a compared pair its ``cell-adaptive`` stream (see
+:class:`gapdp.noise.SeededSource`), so every cell sees the same random
+numbers and a cell's rows do not depend on which other cells ran):
 
 * ``mse-reduction-svt``   -- percent MSE reduction from fusing sparse-vector
   gap estimates with direct measurements, against the variance-model theory.
@@ -181,14 +180,12 @@ def synthetic_queries(spec: str, seed: int) -> QuerySet:
         raise ConfigError("synthetic n must be >= 2")
     values = [base + step * (n - rank) for rank in range(1, n + 1)]
     order = params["order"]
-    if order == "desc":
-        pass
-    elif order == "asc":
+    if order == "asc":
         values.reverse()
     elif order == "shuffle":
         u = SeededSource(seed, *STREAMS["synthetic"]).uniform_matrix(1, n)[0]
         values = [values[i] for i in np.argsort(u, kind="stable")]
-    else:
+    elif order != "desc":
         raise ConfigError(f"unknown synthetic order {order!r}")
     return QuerySet(tuple(values), monotonic=mono)
 
@@ -290,103 +287,87 @@ class _RatioAccumulator:
         return overall, stderr
 
 
-def _row(
-    cfg: ExperimentConfig,
-    parameter: str,
-    empirical: float,
-    theoretical: Optional[float],
-    stderr: Optional[float],
-) -> dict:
-    return {
-        "experiment": cfg.experiment,
-        "parameter": parameter,
-        "empirical": empirical,
-        "theoretical": theoretical,
-        "stderr": stderr,
-        "trials": cfg.trials,
-        "seed": cfg.seed,
-    }
+_COLUMNS = ("experiment", "parameter", "empirical", "theoretical", "stderr", "trials", "seed")
 
 
-def _mse_reduction_svt(cfg: ExperimentConfig, qs: QuerySet) -> list[dict]:
-    values = np.array(qs.values)
+def _row(cfg: ExperimentConfig, parameter: str, empirical: float,
+         theoretical: Optional[float], stderr: Optional[float]) -> dict:
+    return dict(zip(_COLUMNS, (cfg.experiment, parameter, empirical, theoretical, stderr,
+                               cfg.trials, cfg.seed)))
+
+
+# A trial experiment is a function of one (eps, k) cell, which returns the
+# cell's rows as (parameter suffix, empirical, theoretical, stderr).
+
+def _mse_reduction_svt(cfg: ExperimentConfig, qs: QuerySet, eps: float, k: int) -> list[tuple]:
+    values = qs.value_array
     n = len(values)
-    rows = []
-    for eps in cfg.eps:
-        for k in cfg.k:
-            _require_ranks(n, k)
-            theta = _default_theta(cfg, k, qs.monotonic, eps / 2.0)
-            model = svt_variance_model(k, eps, theta, cfg.noise, qs.monotonic)
-            draws, scan, _ = svt_batch(qs, _svt_config(cfg, qs, eps / 2.0, k, theta))
-            acc = _RatioAccumulator(cfg.trials)
-            src = SeededSource(cfg.seed, *STREAMS["cell"])
-            for trials in _chunks(cfg.trials):
-                # A trial draws its threshold rank, runs the scan, then
-                # measures each of its m answers: at most 1 + draws + n.
-                U = src.uniform_matrix(len(trials), 1 + draws + n)
-                thresholds = _thresholds(qs, k, U[:, 0])
-                codes, gaps, used = scan(U[:, 1:1 + draws], thresholds)
-                answered = codes > 0
-                m = answered.sum(axis=1)
-                some = m > 0
-                m, used, thresholds = m[some], used[some], thresholds[some]
-                width = int(m.max(initial=0))
-                # Answered queries first, in scan order, with their gaps.
-                index = np.argsort(~answered[some], axis=1, kind="stable")[:, :width]
-                true = values[index]
-                gaps = np.take_along_axis(gaps[some], index, axis=1)
-                u = np.take_along_axis(U[some], 1 + used[:, None] + np.arange(width), axis=1)
-                # Laplace(2m/eps) noise: scaling unit noise rounds as drawing
-                # at the scale does, both being one product with log1p's value.
-                alphas = true + (2.0 * m / eps)[:, None] * Laplace(1.0).inverse_cdf_array(u)
-                betas = fuse_svt_rows(gaps + thresholds[:, None], alphas,
-                                      (8.0 * m * m / (eps * eps))[:, None], model.var_gap)
-                slot = np.arange(width) < m[:, None]
-                trial = np.broadcast_to(np.asarray(trials)[some][:, None], slot.shape)
-                acc.add(trial[slot], ((alphas - true) ** 2)[slot], ((betas - true) ** 2)[slot])
-            empirical, stderr = acc.reduction()
-            theory = model.var_alpha / (model.var_alpha + model.var_gap)
-            rows.append(_row(cfg, f"eps={eps:g},k={k}",
-                             100.0 * empirical, 100.0 * theory, 100.0 * stderr))
-    return rows
+    _require_ranks(n, k)
+    theta = _default_theta(cfg, k, qs.monotonic, eps / 2.0)
+    model = svt_variance_model(k, eps, theta, cfg.noise, qs.monotonic)
+    draws, scan, _ = svt_batch(qs, _svt_config(cfg, qs, eps / 2.0, k, theta))
+    acc = _RatioAccumulator(cfg.trials)
+    src = SeededSource(cfg.seed, *STREAMS["cell"])
+    for trials in _chunks(cfg.trials):
+        # A trial draws its threshold rank, runs the scan, then measures
+        # each of its m answers: at most 1 + draws + n.
+        U = src.uniform_matrix(len(trials), 1 + draws + n)
+        thresholds = _thresholds(qs, k, U[:, 0])
+        codes, gaps, used = scan(U[:, 1:1 + draws], thresholds)
+        answered = codes > 0
+        m = answered.sum(axis=1)
+        some = m > 0
+        m, used, thresholds = m[some], used[some], thresholds[some]
+        width = int(m.max(initial=0))
+        # Answered queries first, in scan order, with their gaps.
+        index = np.argsort(~answered[some], axis=1, kind="stable")[:, :width]
+        true = values[index]
+        gaps = np.take_along_axis(gaps[some], index, axis=1)
+        u = np.take_along_axis(U[some], 1 + used[:, None] + np.arange(width), axis=1)
+        # Laplace(2m/eps) noise: scaling unit noise rounds as drawing at the
+        # scale does, both being one product with log1p's value.
+        alphas = true + (2.0 * m / eps)[:, None] * Laplace(1.0).inverse_cdf_array(u)
+        betas = fuse_svt_rows(gaps + thresholds[:, None], alphas,
+                              (8.0 * m * m / (eps * eps))[:, None], model.var_gap)
+        slot = np.arange(width) < m[:, None]
+        trial = np.broadcast_to(np.asarray(trials)[some][:, None], slot.shape)
+        acc.add(trial[slot], ((alphas - true) ** 2)[slot], ((betas - true) ** 2)[slot])
+    empirical, stderr = acc.reduction()
+    theory = model.var_alpha / (model.var_alpha + model.var_gap)
+    return [("", 100.0 * empirical, 100.0 * theory, 100.0 * stderr)]
 
 
-def _mse_reduction_topk(cfg: ExperimentConfig, qs: QuerySet) -> list[dict]:
-    values = np.array(qs.values)
+def _mse_reduction_topk(cfg: ExperimentConfig, qs: QuerySet, eps: float, k: int) -> list[tuple]:
+    values = qs.value_array
     n = len(values)
-    rows = []
-    for eps in cfg.eps:
-        for k in cfg.k:
-            if k + 1 > n:
-                raise ConfigError(f"top-k needs at least k+1 = {k + 1} queries")
-            if cfg.noise == "geometric":
-                raise ConfigError("top-k supports laplace or exponential noise only")
-            # Selection always costs eps/2: monotonic lists get the full-eps
-            # noise scale at half the charge.
-            eps_param = eps if qs.monotonic else eps / 2.0
-            measurement = FamilyNoise("laplace", eps, 2.0 * k)
-            # lam = var(selection noise) / var(measurement noise).  Selection
-            # at (eps/2, 2k) is the noise at (eps, 4k); keeping both at eps
-            # makes lam exactly 1, 4, 1/2 or 2.
-            selection = FamilyNoise(cfg.noise, eps, 2.0 * k if qs.monotonic else 4.0 * k)
-            lam = selection.variance / measurement.variance
-            _, select, _ = gap_topk_batch(qs, k, eps_param, cfg.noise)
-            acc = _RatioAccumulator(cfg.trials)
-            src = SeededSource(cfg.seed, *STREAMS["cell"])
-            for trials in _chunks(cfg.trials):
-                # n selection draws, then one measurement per rank.
-                U = src.uniform_matrix(len(trials), n + k)
-                index, gaps = select(U[:, :n])
-                true = values[index]
-                alphas = true + measurement.kind.inverse_cdf_array(U[:, n:])
-                betas = blue_topk_rows(alphas, gaps[:, :k - 1], lam)
-                acc.add(np.repeat(np.asarray(trials), k),
-                        ((alphas - true) ** 2).ravel(), ((betas - true) ** 2).ravel())
-            empirical, stderr = acc.reduction()
-            theory = 1.0 - blue_variance_ratio(k, lam)
-            rows.append(_row(cfg, f"eps={eps:g},k={k}",
-                             100.0 * empirical, 100.0 * theory, 100.0 * stderr))
-    return rows
+    if k + 1 > n:
+        raise ConfigError(f"top-k needs at least k+1 = {k + 1} queries")
+    if cfg.noise == "geometric":
+        raise ConfigError("top-k supports laplace or exponential noise only")
+    # Selection always costs eps/2: monotonic lists get the full-eps noise
+    # scale at half the charge.
+    eps_param = eps if qs.monotonic else eps / 2.0
+    measurement = FamilyNoise("laplace", eps, 2.0 * k)
+    # lam = var(selection noise) / var(measurement noise).  Selection at
+    # (eps/2, 2k) is the noise at (eps, 4k); keeping both at eps makes lam
+    # exactly 1, 4, 1/2 or 2.
+    selection = FamilyNoise(cfg.noise, eps, 2.0 * k if qs.monotonic else 4.0 * k)
+    lam = selection.variance / measurement.variance
+    _, select, _ = gap_topk_batch(qs, k, eps_param, cfg.noise)
+    acc = _RatioAccumulator(cfg.trials)
+    src = SeededSource(cfg.seed, *STREAMS["cell"])
+    for trials in _chunks(cfg.trials):
+        # n selection draws, then one measurement per rank.
+        U = src.uniform_matrix(len(trials), n + k)
+        index, gaps = select(U[:, :n])
+        true = values[index]
+        alphas = true + measurement.kind.inverse_cdf_array(U[:, n:])
+        betas = blue_topk_rows(alphas, gaps[:, :k - 1], lam)
+        acc.add(np.repeat(np.asarray(trials), k),
+                ((alphas - true) ** 2).ravel(), ((betas - true) ** 2).ravel())
+    empirical, stderr = acc.reduction()
+    theory = 1.0 - blue_variance_ratio(k, lam)
+    return [("", 100.0 * empirical, 100.0 * theory, 100.0 * stderr)]
 
 
 def _compared_scans(cfg: ExperimentConfig, qs: QuerySet, eps: float, k: int, theta: float):
@@ -404,83 +385,83 @@ def _compared_scans(cfg: ExperimentConfig, qs: QuerySet, eps: float, k: int, the
         yield thresholds, scan(U[:, 1:], thresholds)[0], alt_scan(alt, thresholds)[0]
 
 
-def _adaptive_counts(cfg: ExperimentConfig, qs: QuerySet) -> list[dict]:
+def _metrics(samples: dict[str, list]) -> list[tuple]:
+    """One row per metric: its samples' mean and standard error."""
     rows = []
-    for eps in cfg.eps:
-        for k in cfg.k:
-            _require_ranks(len(qs), k)
-            theta = _default_theta(cfg, k, qs.monotonic, eps)
-            counts = {"svt": [], "adaptive": [], "adaptive_top": [], "adaptive_middle": []}
-            for _, base, adaptive in _compared_scans(cfg, qs, eps, k, theta):
-                top = (adaptive == 2).sum(axis=1)
-                middle = (adaptive == 1).sum(axis=1)
-                counts["svt"] += (base > 0).sum(axis=1).tolist()
-                counts["adaptive"] += (top + middle).tolist()
-                counts["adaptive_top"] += top.tolist()
-                counts["adaptive_middle"] += middle.tolist()
-            for metric, samples in counts.items():
-                mean, stderr = _mean_stderr(samples)
-                rows.append(_row(cfg, f"eps={eps:g},k={k},metric=answered_{metric}",
-                                 mean, None, stderr))
+    for metric, values in samples.items():
+        mean, stderr = _mean_stderr(values)
+        rows.append((f",metric={metric}", mean, None, stderr))
     return rows
 
 
-def _precision_fmeasure(cfg: ExperimentConfig, qs: QuerySet) -> list[dict]:
-    values = np.array(qs.values)
-    rows = []
-    for eps in cfg.eps:
-        for k in cfg.k:
-            _require_ranks(len(qs), k)
-            theta = _default_theta(cfg, k, qs.monotonic, eps)
-            stats = {"precision_svt": [], "precision_adaptive": [],
-                     "fmeasure_svt": [], "fmeasure_adaptive": []}
-            for thresholds, *scans in _compared_scans(cfg, qs, eps, k, theta):
-                true_above = values > thresholds[:, None]
-                relevant = true_above.sum(axis=1)
-                for name, codes in zip(("svt", "adaptive"), scans):
-                    returned = codes > 0
-                    count = returned.sum(axis=1)
-                    hits = (returned & true_above).sum(axis=1)
-                    # A trial returning nothing has no precision and F = 0;
-                    # with no query truly above, recall is 0.
-                    precision = hits / np.maximum(count, 1)
-                    recall = hits / np.maximum(relevant, 1)
-                    both = precision + recall
-                    f = np.divide(2.0 * precision * recall, both,
-                                  out=np.zeros(len(both)), where=both > 0.0)
-                    stats[f"precision_{name}"] += precision[count > 0].tolist()
-                    stats[f"fmeasure_{name}"] += f.tolist()
-            for metric, samples in stats.items():
-                mean, stderr = _mean_stderr(samples)
-                rows.append(_row(cfg, f"eps={eps:g},k={k},metric={metric}",
-                                 mean, None, stderr))
-    return rows
+def _adaptive_counts(cfg: ExperimentConfig, qs: QuerySet, eps: float, k: int) -> list[tuple]:
+    _require_ranks(len(qs), k)
+    theta = _default_theta(cfg, k, qs.monotonic, eps)
+    counts = {"answered_svt": [], "answered_adaptive": [],
+              "answered_adaptive_top": [], "answered_adaptive_middle": []}
+    for _, base, adaptive in _compared_scans(cfg, qs, eps, k, theta):
+        top = (adaptive == 2).sum(axis=1)
+        middle = (adaptive == 1).sum(axis=1)
+        counts["answered_svt"] += (base > 0).sum(axis=1).tolist()
+        counts["answered_adaptive"] += (top + middle).tolist()
+        counts["answered_adaptive_top"] += top.tolist()
+        counts["answered_adaptive_middle"] += middle.tolist()
+    return _metrics(counts)
 
 
-def _remaining_budget(cfg: ExperimentConfig, qs: QuerySet) -> list[dict]:
-    rows = []
-    for eps in cfg.eps:
-        for k in cfg.k:
-            _require_ranks(len(qs), k)
-            theta = _default_theta(cfg, k, qs.monotonic, eps)
-            svt_cfg = _svt_config(cfg, qs, eps, k, theta, adaptive=True)
-            draws, scan, _ = svt_batch(qs, svt_cfg)
-            fractions = []
-            src = SeededSource(cfg.seed, *STREAMS["cell"])
-            for trials in _chunks(cfg.trials):
-                U = src.uniform_matrix(len(trials), 1 + draws)
-                codes = scan(U[:, 1:], _thresholds(qs, k, U[:, 0]))[0]
-                # Stop the scan after k answers: budget spent up to then.
-                cost = np.select([codes == 2, codes == 1], [svt_cfg.eps2, svt_cfg.eps1], 0.0)
-                cost[np.cumsum(codes > 0, axis=1) > k] = 0.0
-                consumed = np.cumsum(np.hstack([np.full((len(U), 1), svt_cfg.eps0), cost]), axis=1)
-                fractions += (1.0 - consumed[:, -1] / eps).tolist()
-            mean, stderr = _mean_stderr(fractions)
-            # Far-above-threshold limit: k top-branch answers cost
-            # eps0 + k*eps2 = eps*(1+theta)/2.
-            rows.append(_row(cfg, f"eps={eps:g},k={k}",
-                             mean, (1.0 - theta) / 2.0, stderr))
-    return rows
+def _precision_fmeasure(cfg: ExperimentConfig, qs: QuerySet, eps: float, k: int) -> list[tuple]:
+    _require_ranks(len(qs), k)
+    theta = _default_theta(cfg, k, qs.monotonic, eps)
+    values = qs.value_array
+    stats = {"precision_svt": [], "precision_adaptive": [],
+             "fmeasure_svt": [], "fmeasure_adaptive": []}
+    for thresholds, *scans in _compared_scans(cfg, qs, eps, k, theta):
+        true_above = values > thresholds[:, None]
+        relevant = true_above.sum(axis=1)
+        for name, codes in zip(("svt", "adaptive"), scans):
+            returned = codes > 0
+            count = returned.sum(axis=1)
+            hits = (returned & true_above).sum(axis=1)
+            # A trial returning nothing has no precision and F = 0; with no
+            # query truly above, recall is 0.
+            precision = hits / np.maximum(count, 1)
+            recall = hits / np.maximum(relevant, 1)
+            both = precision + recall
+            f = np.divide(2.0 * precision * recall, both,
+                          out=np.zeros(len(both)), where=both > 0.0)
+            stats[f"precision_{name}"] += precision[count > 0].tolist()
+            stats[f"fmeasure_{name}"] += f.tolist()
+    return _metrics(stats)
+
+
+def _remaining_budget(cfg: ExperimentConfig, qs: QuerySet, eps: float, k: int) -> list[tuple]:
+    _require_ranks(len(qs), k)
+    theta = _default_theta(cfg, k, qs.monotonic, eps)
+    svt_cfg = _svt_config(cfg, qs, eps, k, theta, adaptive=True)
+    draws, scan, _ = svt_batch(qs, svt_cfg)
+    fractions = []
+    src = SeededSource(cfg.seed, *STREAMS["cell"])
+    for trials in _chunks(cfg.trials):
+        U = src.uniform_matrix(len(trials), 1 + draws)
+        codes = scan(U[:, 1:], _thresholds(qs, k, U[:, 0]))[0]
+        # Stop the scan after k answers: budget spent up to then.
+        cost = np.select([codes == 2, codes == 1], [svt_cfg.eps2, svt_cfg.eps1], 0.0)
+        cost[np.cumsum(codes > 0, axis=1) > k] = 0.0
+        consumed = np.cumsum(np.hstack([np.full((len(U), 1), svt_cfg.eps0), cost]), axis=1)
+        fractions += (1.0 - consumed[:, -1] / eps).tolist()
+    mean, stderr = _mean_stderr(fractions)
+    # Far-above-threshold limit: k top-branch answers cost
+    # eps0 + k*eps2 = eps*(1+theta)/2.
+    return [("", mean, (1.0 - theta) / 2.0, stderr)]
+
+
+_CELLS = {
+    "mse-reduction-svt": _mse_reduction_svt,
+    "mse-reduction-topk": _mse_reduction_topk,
+    "adaptive-counts": _adaptive_counts,
+    "precision-fmeasure": _precision_fmeasure,
+    "remaining-budget": _remaining_budget,
+}
 
 
 @dataclass(frozen=True)
@@ -609,21 +590,18 @@ def _audit_experiment(cfg: ExperimentConfig) -> list[dict]:
 
 
 def run_experiment(cfg: ExperimentConfig) -> list[dict]:
-    """Run one named experiment and return its result rows."""
+    """Run one named experiment and return its result rows, cell by cell
+    for each eps and, within it, each k."""
     if cfg.experiment == "audit":
         return _audit_experiment(cfg)
     qs = _load_queries(cfg)
-    runner = {
-        "mse-reduction-svt": _mse_reduction_svt,
-        "mse-reduction-topk": _mse_reduction_topk,
-        "adaptive-counts": _adaptive_counts,
-        "precision-fmeasure": _precision_fmeasure,
-        "remaining-budget": _remaining_budget,
-    }[cfg.experiment]
-    return runner(cfg, qs)
-
-
-_COLUMNS = ("experiment", "parameter", "empirical", "theoretical", "stderr", "trials", "seed")
+    cell = _CELLS[cfg.experiment]
+    return [
+        _row(cfg, f"eps={eps:g},k={k}{suffix}", empirical, theoretical, stderr)
+        for eps in cfg.eps
+        for k in cfg.k
+        for suffix, empirical, theoretical, stderr in cell(cfg, qs, eps, k)
+    ]
 
 
 def _fmt(value) -> str:

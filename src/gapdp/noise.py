@@ -127,15 +127,9 @@ _BLOCK = 4096  # the most draws one refill of a SeededSource takes
 _ZERO_DRAW = 2.0**-54
 
 
-# The key of every stream the package derives from a seed:
-# ``SeededSource(seed, *STREAMS[name])``.
-STREAMS = {
-    "cell": (0,),
-    "cell-adaptive": (1,),
-    "audit-d": (2,),
-    "audit-d-prime": (3,),
-    "synthetic": (4,),
-}
+# Stream keys by name; SeededSource's docstring says what each feeds.
+STREAMS = {"cell": (0,), "cell-adaptive": (1,), "audit-d": (2,), "audit-d-prime": (3,),
+           "synthetic": (4,)}
 
 
 class SeededSource(RandomSource):
@@ -146,15 +140,11 @@ class SeededSource(RandomSource):
     spawn_key=key))``; with no key that is ``PCG64(seed)``'s stream.  Every
     stream the package derives from a seed takes its key from ``STREAMS``:
 
-    =================  =====  ==============================================
-    name               key    feeds
-    =================  =====  ==============================================
-    ``cell``           (0,)   each (eps, k) cell of a trial experiment
-    ``cell-adaptive``  (1,)   the adaptive scan of a compared pair in a cell
-    ``audit-d``        (2,)   the audit's trials on input d
-    ``audit-d-prime``  (3,)   the audit's trials on input d'
-    ``synthetic``      (4,)   the order of a shuffled synthetic query set
-    =================  =====  ==============================================
+    * ``cell`` (0,): each (eps, k) cell of a trial experiment;
+    * ``cell-adaptive`` (1,): the adaptive scan of a compared pair in a cell;
+    * ``audit-d`` (2,) and ``audit-d-prime`` (3,): the audit's trials on
+      inputs d and d';
+    * ``synthetic`` (4,): the order of a shuffled synthetic query set.
 
     An exact-zero draw (p = 2**-53), which Laplace and Gumbel noise map to
     -inf, comes out as 2**-54."""

@@ -77,6 +77,10 @@ _CHUNK = 4096
 # _CHUNK keeps the peak working set near a fixed-draw chunk's.
 _STREAM_TRIALS = _CHUNK // 2
 
+# The fewest trials per input an audit runs, and the error for fewer.
+MIN_TRIALS = 10_000
+TOO_FEW_TRIALS = "audit needs at least 10^4 trials per input"
+
 
 class AuditError(RuntimeError):
     """The audit could not produce a usable estimate."""
@@ -92,8 +96,8 @@ class AuditConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.trials < 10_000:
-            raise ValueError("audit needs at least 10^4 trials per input")
+        if self.trials < MIN_TRIALS:
+            raise ValueError(TOO_FEW_TRIALS)
         if not self.bin_width > 0.0:
             raise ValueError("bin_width must be > 0")
         if self.min_count < 1:

@@ -130,8 +130,8 @@ class ExperimentConfig:
             )
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
-        if self.experiment == "audit" and self.trials < 10_000:
-            raise ConfigError("audit needs at least 10^4 trials per input")
+        if self.experiment == "audit" and self.trials < audit_mod.MIN_TRIALS:
+            raise ConfigError(audit_mod.TOO_FEW_TRIALS)
         if not self.eps or not self.k:
             raise ConfigError("eps and k ranges must be nonempty")
         for e in self.eps:
@@ -280,11 +280,8 @@ class _RatioAccumulator:
         if total_base <= 0.0:
             return math.nan, math.nan
         overall = 1.0 - total_new / total_base
-        ratios = [
-            1.0 - n / b for n, b in zip(new, base) if b > 0.0
-        ]
-        _, stderr = _mean_stderr(ratios)
-        return overall, stderr
+        ratios = [1.0 - n / b for n, b in zip(new, base) if b > 0.0]
+        return overall, _mean_stderr(ratios)[1]
 
 
 _COLUMNS = ("experiment", "parameter", "empirical", "theoretical", "stderr", "trials", "seed")

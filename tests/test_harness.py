@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from gapdp import harness
+from gapdp import audit, harness
 from gapdp.cli import main
 from gapdp.harness import (
     EXPERIMENTS,
@@ -60,6 +60,14 @@ class TestConfigValidation:
             ExperimentConfig(experiment="audit", eps=(-1.0,))
         with pytest.raises(ConfigError):
             ExperimentConfig(experiment="audit", theta=2.0)
+
+    def test_audit_trial_minimum_is_the_auditors(self):
+        ExperimentConfig(experiment="audit", trials=audit.MIN_TRIALS)
+        audit.AuditConfig(trials=audit.MIN_TRIALS)
+        with pytest.raises(ConfigError, match=r"^audit needs at least 10\^4 trials per input$"):
+            ExperimentConfig(experiment="audit", trials=audit.MIN_TRIALS - 1)
+        with pytest.raises(ValueError, match=r"^audit needs at least 10\^4 trials per input$"):
+            audit.AuditConfig(trials=audit.MIN_TRIALS - 1)
 
     def test_threshold_ranks_need_data(self):
         cfg = ExperimentConfig(

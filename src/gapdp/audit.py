@@ -25,9 +25,9 @@ row r must equal ``as_audit_output(mech(data, ReplaySource(U[r])))``.
 ``reach`` is None when every trial reads all ``draws``: the auditor then
 hands the kernel the next rows of the stream.  A mechanism whose trials
 can stop early returns ``used`` from the kernel as a third array, the
-uniforms each row's trial read, and ``reach(stream)``, which gives that ``used`` for every
-window ``stream[s:s + draws]`` of a 1-D stream without running the whole
-kernel.  The auditor chains the trials through ``reach``'s counts, each
+uniforms each row's trial read, and ``reach(stream)``, which gives that
+``used`` for every window ``stream[s:s + draws]`` of a 1-D stream without
+running the whole kernel.  The auditor chains the trials through ``reach``'s counts, each
 starting where the one before stopped reading, and runs the kernel on
 those windows only.  Either way the batch path reads exactly the uniforms
 the scalar loop reads and gives the same histogram for the same seed.

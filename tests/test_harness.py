@@ -414,7 +414,8 @@ def reference_cell(cfg, qs, eps, k):
     if cfg.experiment == "remaining-budget":
         sources = zip(trial_sources(cfg, adaptive_width), [None] * cfg.trials)
     else:
-        sources = zip(trial_sources(cfg, single), trial_sources(cfg, adaptive_width - 1, "cell-adaptive"))
+        sources = zip(trial_sources(cfg, single),
+                      trial_sources(cfg, adaptive_width - 1, "cell-adaptive"))
     for src, alt_src in sources:
         threshold = draw_threshold(desc, k, src.uniform())
         if cfg.experiment == "remaining-budget":

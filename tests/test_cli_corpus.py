@@ -3,7 +3,9 @@
 Each run in ``RUNS`` executes ``gapdp.cli.main(argv)`` in-process, inside
 ``tests/data/cli`` (so ``--dataset`` paths are relative to it), and must
 reproduce ``tests/data/cli/<name>.txt``: its exit code, stdout and stderr.
-The file's first lines, marked ``#``, record the argv and the numpy and
+Each demo in ``DEMO_RUNS`` runs in-process through ``runpy`` and must
+reproduce its stdout in ``tests/data/demos/<name>.txt``.
+A file's first lines, marked ``#``, record the command and the numpy and
 Python versions it was written with; they are not compared, and a failure
 message names them, since numpy's ``log1p`` can move the last bit of a
 draw between releases.
@@ -21,6 +23,7 @@ import contextlib
 import io
 import os
 import platform
+import runpy
 import shlex
 from pathlib import Path
 
@@ -30,6 +33,8 @@ import pytest
 from gapdp import cli
 
 CORPUS = Path(__file__).parent / "data" / "cli"
+DEMO_CORPUS = Path(__file__).parent / "data" / "demos"
+DEMOS = Path(__file__).parents[1] / "demos"
 
 TRIAL_EXPERIMENTS = (
     "mse-reduction-svt",
@@ -92,6 +97,9 @@ RUNS: dict[str, list[str]] = {
                        "--k", "2,5", "--trials", "1", "--seed", "8"],
 }
 
+# The demos that print budget ledgers, reported items and charged costs.
+DEMO_RUNS = ("02_sparse_vector_with_gap", "04_hybrids_dynamic_budget")
+
 
 def run(argv: list[str]) -> str:
     """Exit code, stdout and stderr of one in-process CLI run."""
@@ -106,9 +114,16 @@ def run(argv: list[str]) -> str:
     return f"--- exit {code}\n--- stdout\n{out.getvalue()}--- stderr\n{err.getvalue()}"
 
 
-def header(argv: list[str]) -> str:
-    return (f"# gapdp {shlex.join(argv)}\n"
-            f"# numpy {np.__version__}, Python {platform.python_version()}\n")
+def run_demo(name: str) -> str:
+    """The stdout of one in-process demo run."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        runpy.run_path(str(DEMOS / f"{name}.py"), run_name="__main__")
+    return out.getvalue()
+
+
+def header(command: str) -> str:
+    return f"# {command}\n# numpy {np.__version__}, Python {platform.python_version()}\n"
 
 
 def split(text: str) -> tuple[str, str]:
@@ -118,24 +133,41 @@ def split(text: str) -> tuple[str, str]:
     return "".join(lines[:n]), "".join(lines[n:])
 
 
-@pytest.mark.parametrize("name", RUNS)
-def test_cli_run_matches_its_golden_file(name):
-    recorded, want = split((CORPUS / f"{name}.txt").read_text())
-    assert recorded.splitlines()[0] == header(RUNS[name]).splitlines()[0], "argv changed"
-    got = run(RUNS[name])
+def check(path: Path, command: str, produce) -> None:
+    recorded, want = split(path.read_text())
+    assert recorded.splitlines()[0] == header(command).splitlines()[0], "command changed"
+    got = produce()
     assert got == want, (
-        f"{name} differs from its golden file, recorded with {recorded.splitlines()[1][2:]}; "
+        f"{path.stem} differs from its golden file, recorded with "
+        f"{recorded.splitlines()[1][2:]}; "
         f"running numpy {np.__version__}, Python {platform.python_version()}"
     )
 
 
+@pytest.mark.parametrize("name", RUNS)
+def test_cli_run_matches_its_golden_file(name):
+    argv = RUNS[name]
+    check(CORPUS / f"{name}.txt", f"gapdp {shlex.join(argv)}", lambda: run(argv))
+
+
+@pytest.mark.parametrize("name", DEMO_RUNS)
+def test_demo_matches_its_golden_file(name):
+    check(DEMO_CORPUS / f"{name}.txt", f"python demos/{name}.py", lambda: run_demo(name))
+
+
 def test_every_golden_file_has_a_run():
     assert sorted(p.stem for p in CORPUS.glob("*.txt")) == sorted(RUNS)
+    assert sorted(p.stem for p in DEMO_CORPUS.glob("*.txt")) == sorted(DEMO_RUNS)
 
 
 def regenerate() -> None:
     for name, argv in RUNS.items():
-        (CORPUS / f"{name}.txt").write_text(header(argv) + run(argv))
+        command = f"gapdp {shlex.join(argv)}"
+        (CORPUS / f"{name}.txt").write_text(header(command) + run(argv))
+    DEMO_CORPUS.mkdir(exist_ok=True)
+    for name in DEMO_RUNS:
+        command = f"python demos/{name}.py"
+        (DEMO_CORPUS / f"{name}.txt").write_text(header(command) + run_demo(name))
 
 
 if __name__ == "__main__":

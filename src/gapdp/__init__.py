@@ -7,7 +7,7 @@ extra privacy cost, the post-processing that turns them into better query
 estimates, budget accounting, and a Monte-Carlo privacy auditor.
 """
 
-from .audit import AuditConfig, AuditReport, estimate_epsilon, tie_probability_bound
+from .audit import AuditConfig, AuditReport, Release, estimate_epsilon, tie_probability_bound
 from .expmech import (
     ExpMechResult,
     UtilityTable,
@@ -48,7 +48,6 @@ from .queries import (
     load_transactions,
 )
 from .svt import (
-    BudgetLedger,
     SvtConfig,
     SvtItem,
     SvtResult,

@@ -9,9 +9,9 @@ epsilon falsifies the implementation.  The auditor proves nothing: it is a
 falsification tool, and ``flagged`` marks an exceedance beyond the sampling
 slack (three binomial standard errors of the worst bin's log-ratio).
 
-A mechanism returns a result whose ``audit_output()`` gives (discrete
-structure, released gaps), as every result class here does, or that pair
-itself; :func:`as_audit_output` takes either.
+Every public mechanism returns a :class:`Release`, whose ``audit_output()``
+gives (discrete structure, released gaps); a scalar test or planted
+mechanism may return that pair itself.  :func:`as_audit_output` takes either.
 
 Input d draws from the seed's ``audit-d`` stream and d' from its
 ``audit-d-prime`` stream (see :class:`gapdp.noise.SeededSource`).
@@ -61,6 +61,7 @@ __all__ = [
     "AuditConfig",
     "AuditError",
     "AuditReport",
+    "Release",
     "as_audit_output",
     "estimate_epsilon",
     "tie_probability_bound",
@@ -80,6 +81,9 @@ _STREAM_TRIALS = _CHUNK // 2
 # The fewest trials per input an audit runs, and the error for fewer.
 MIN_TRIALS = 10_000
 TOO_FEW_TRIALS = "audit needs at least 10^4 trials per input"
+
+# Float-sum fuzz allowed when checking consumed <= allocated.
+_BUDGET_TOL = 1e-9
 
 
 class AuditError(RuntimeError):
@@ -121,6 +125,49 @@ class AuditReport:
     def to_json(self) -> str:
         fields = ("mechanism", "eps_claimed", "eps_hat", "trials", "bins", "flagged", "slack")
         return json.dumps({name: getattr(self, name) for name in fields})
+
+
+@dataclass(frozen=True)
+class Release:
+    """What one mechanism run released and charged: ``codes``, the discrete
+    structure (selected indices, or a scan's tag per query), ``gaps``, the
+    released gaps, ``allocated``, the run's budget, and ``trail``, each
+    step's charge in the order charged.  It refuses a budget or charge that
+    is not finite, a negative charge and a trail that overspends."""
+
+    codes: tuple[int, ...]
+    gaps: tuple[float, ...]
+    allocated: float
+    trail: tuple[float, ...]
+
+    def __post_init__(self):
+        if not 0.0 < self.allocated < math.inf:
+            raise ValueError(f"allocated budget {self.allocated} must be finite and > 0")
+        if not all(0.0 <= charge < math.inf for charge in self.trail):
+            raise ValueError(f"charges {self.trail} must be finite and >= 0")
+        if not 0.0 <= self.consumed <= self.allocated + _BUDGET_TOL:
+            raise ValueError(f"consumed budget {self.consumed} outside [0, {self.allocated}]")
+
+    @property
+    def consumed(self) -> float:
+        """The trail summed left to right (``sum`` compensates on Python >= 3.12)."""
+        total = 0.0
+        for charge in self.trail:
+            total += charge
+        return total
+
+    @property
+    def remaining(self) -> float:
+        return self.allocated - self.consumed
+
+    @property
+    def pairs(self) -> tuple[tuple[int, float], ...]:
+        """Each code with its gap, for releases whose every code has one."""
+        return tuple(zip(self.codes, self.gaps))
+
+    def audit_output(self) -> tuple[tuple[int, ...], tuple[float, ...]]:
+        """The codes and the released gaps: what the auditor bins."""
+        return self.codes, self.gaps
 
 
 def as_audit_output(result) -> tuple[tuple, tuple[float, ...]]:

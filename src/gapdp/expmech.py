@@ -29,6 +29,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from .audit import Release
 from .noise import (
     Gumbel,
     RandomSource,
@@ -107,14 +108,16 @@ class UtilityTable:
         return cumulative, locations
 
 
-@dataclass(frozen=True)
-class ExpMechResult:
-    selected: int
-    gap: float
+class ExpMechResult(Release):
+    """The winner (``codes``) and its gap, charged the table's epsilon."""
 
-    def audit_output(self) -> tuple[tuple[int], tuple[float]]:
-        """The winner and its gap: what the auditor bins."""
-        return (self.selected,), (self.gap,)
+    @property
+    def selected(self) -> int:
+        return self.codes[0]
+
+    @property
+    def gap(self) -> float:
+        return self.gaps[0]
 
 
 def log_sum_exp_excluding(scores: Sequence[float], s: int) -> float:
@@ -137,8 +140,7 @@ def exp_mech_gumbel(u: UtilityTable, src: RandomSource) -> ExpMechResult:
     :func:`exp_mech_gumbel_batch`'s kernel on the next n uniforms of ``src``.
     """
     draws, kernel, _ = exp_mech_gumbel_batch(u)
-    ((selected, gap),) = single_run(kernel, draws, src)
-    return ExpMechResult(selected, gap)
+    return ExpMechResult(*single_run(kernel, draws, src), u.epsilon, (u.epsilon,))
 
 
 def exp_mech_gumbel_batch(u: UtilityTable):
@@ -200,7 +202,8 @@ def exp_mech_blackbox_gap(
         s = selector(u.scaled_scores(), src)
         if not 0 <= s < len(cumulative):
             raise IndexError(f"selector chose {s}, out of range for {len(cumulative)} outcomes")
-    return ExpMechResult(s, sample_logistic_nonneg(float(locations[s]), src))
+    gap = sample_logistic_nonneg(float(locations[s]), src)
+    return ExpMechResult((s,), (gap,), u.epsilon, (u.epsilon,))
 
 
 def exp_mech_blackbox_batch(u: UtilityTable):

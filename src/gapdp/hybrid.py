@@ -20,15 +20,15 @@ Monotonic-query scale reductions do not apply to either hybrid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from .audit import Release
 from .noise import Exponential, FamilyNoise, RandomSource
 from .queries import QuerySet
 from .topk import ranked, single_run, top_gaps
 
 __all__ = [
+    "HybridIdentityResult",
     "HybridResult",
     "hybrid_estimates",
     "hybrid_estimates_batch",
@@ -39,41 +39,35 @@ __all__ = [
 THRESHOLD_SENTINEL = 0  # index reserved for the noisy threshold in hybrid_identity
 
 
-@dataclass(frozen=True)
-class HybridResult:
-    """Pairs released by a hybrid run plus the budget it actually consumed.
+class HybridResult(Release):
+    """The indices and gaps a hybrid run released, and one charge for them.
+    Indices are 0-based query positions, as :func:`hybrid_estimates` gives."""
 
-    For the "identity" variant, query indices are 1-based and index 0 is the
-    threshold sentinel, which (if present) is always the final pair.  For the
-    "estimates" variant indices are plain 0-based query positions.
-    """
-
-    pairs: tuple[tuple[int, float], ...]
-    actual_cost: float
-    variant: str
-
-    def audit_output(self) -> tuple[tuple[int, ...], tuple[float, ...]]:
-        """The released indices and their gaps: what the auditor bins."""
-        return tuple(index for index, _ in self.pairs), tuple(gap for _, gap in self.pairs)
+    @property
+    def actual_cost(self) -> float:
+        return self.consumed
 
     def query_pairs(self) -> tuple[tuple[int, float], ...]:
         """Pairs for real queries only, as 0-based (index, gap)."""
-        if self.variant == "identity":
-            return tuple(
-                (index - 1, gap)
-                for index, gap in self.pairs
-                if index != THRESHOLD_SENTINEL
-            )
         return self.pairs
 
     def answer_estimates(self, threshold: float) -> tuple[float, ...]:
         """Gap-derived answer estimates: gap + public threshold, per query pair.
 
         Meaningful when gaps are measured against the threshold: always for
-        the estimates variant, and for the identity variant only when the
+        :func:`hybrid_estimates`, and for :func:`hybrid_identity` only when the
         sentinel pair was reached (every earlier gap then chains down to it).
         """
         return tuple(gap + threshold for _, gap in self.query_pairs())
+
+
+class HybridIdentityResult(HybridResult):
+    """A :func:`hybrid_identity` release: query indices are 1-based and
+    index 0 is the threshold sentinel, which (if present) is always the
+    final pair."""
+
+    def query_pairs(self) -> tuple[tuple[int, float], ...]:
+        return tuple((index - 1, gap) for index, gap in self.pairs if index != THRESHOLD_SENTINEL)
 
 
 def _check(q: QuerySet, k: int, eps: float) -> None:
@@ -97,8 +91,8 @@ def hybrid_identity(
     Runs :func:`hybrid_identity_batch`'s kernel on the next n + 1 uniforms.
     """
     draws, kernel, _ = hybrid_identity_batch(q, threshold, k, eps)
-    pairs = single_run(kernel, draws, src)
-    return HybridResult(pairs, (len(pairs) / k) * eps, "identity")
+    codes, gaps = single_run(kernel, draws, src)
+    return HybridIdentityResult(codes, gaps, eps, ((len(codes) / k) * eps,))
 
 
 def hybrid_identity_batch(q: QuerySet, threshold: float, k: int, eps: float):
@@ -139,9 +133,9 @@ def hybrid_estimates(
     :func:`hybrid_estimates_batch`'s kernel on the next n + 1 uniforms.
     """
     draws, kernel, _ = hybrid_estimates_batch(q, threshold, k, eps, theta)
-    pairs = single_run(kernel, draws, src)
-    t = len(pairs)
-    return HybridResult(pairs, (theta + (t / k) * (1.0 - theta)) * eps, "estimates")
+    codes, gaps = single_run(kernel, draws, src)
+    t = len(codes)
+    return HybridResult(codes, gaps, eps, ((theta + (t / k) * (1.0 - theta)) * eps,))
 
 
 def hybrid_estimates_batch(

@@ -19,9 +19,9 @@ the audit and the experiment harness also run over many trials at once.  A
 release cannot know beforehand how many draws its scan takes, so it runs
 the kernel on a look-ahead window of its source (:meth:`RandomSource.peek`)
 that doubles until the scan stops, then consumes exactly the draws the scan
-read.  The result is a frozen record of the scan's tags and released gaps,
-which is also what the auditor bins; :class:`SvtItem` objects are built
-from it only when asked for.
+read.  The result is a :class:`gapdp.audit.Release` of the scan's tags,
+released gaps and charges (eps0, then each report's charge in scan order);
+:class:`SvtItem` objects are built from it only when asked for.
 
 Also here: the budget-split tuner :func:`theta_optimal`, and the lower
 confidence machinery for gap estimates (:func:`tail_probability`,
@@ -38,11 +38,11 @@ from typing import Optional
 
 import numpy as np
 
+from .audit import Release
 from .noise import FamilyNoise, RandomSource, canonical_family, variance_of
 from .queries import QuerySet
 
 __all__ = [
-    "BudgetLedger",
     "SvtConfig",
     "SvtItem",
     "SvtResult",
@@ -53,30 +53,6 @@ __all__ = [
     "tail_probability",
     "theta_optimal",
 ]
-
-# Float-sum fuzz allowed when checking consumed <= allocated.
-_BUDGET_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class BudgetLedger:
-    """Privacy budget accounting: allocated vs consumed."""
-
-    allocated: float
-    consumed: float
-
-    def __post_init__(self):
-        if not self.allocated > 0.0:
-            raise ValueError("allocated budget must be > 0")
-        if self.consumed < 0.0 or self.consumed > self.allocated + _BUDGET_TOL:
-            raise ValueError(
-                f"consumed budget {self.consumed} outside [0, {self.allocated}]"
-            )
-
-    @property
-    def remaining(self) -> float:
-        return self.allocated - self.consumed
-
 
 @dataclass(frozen=True)
 class SvtConfig:
@@ -151,34 +127,29 @@ class SvtItem:
 _BRANCHES = (None, "middle", "top")  # per scan tag: 0 below, 1 middle, 2 top
 
 
-@dataclass(frozen=True)
-class SvtResult:
-    """One scan's outcome: a tag per scanned query in scan order (0 below,
-    1 middle, 2 top), the released gaps in scan order, the budget each tag
-    charges, ``(0.0, eps1, eps2)``, and the ledger.  ``items`` and
-    :meth:`above_items` build :class:`SvtItem` objects from them on read."""
+class SvtResult(Release):
+    """One scan's release: a tag per scanned query in ``codes`` (0 below,
+    1 middle, 2 top), and eps0 then each report's charge in ``trail``, both
+    in scan order.  ``items`` and :meth:`above_items` build
+    :class:`SvtItem` objects from them on read."""
 
-    tags: tuple[int, ...]
-    gaps: tuple[float, ...]
-    charges: tuple[float, float, float]
-    ledger: BudgetLedger
+    @property
+    def ledger(self) -> SvtResult:
+        """The record itself: ``allocated``, ``consumed`` and ``remaining``."""
+        return self
 
     @property
     def items(self) -> tuple[SvtItem, ...]:
         """An :class:`SvtItem` per scanned query, in scan order."""
-        gaps = iter(self.gaps)
-        return tuple(SvtItem(i, t > 0, next(gaps) if t else 0.0, _BRANCHES[t], self.charges[t])
-                     for i, t in enumerate(self.tags))
+        above = iter(self.above_items())
+        return tuple(next(above) if t else SvtItem(i, False, 0.0, None, 0.0)
+                     for i, t in enumerate(self.codes))
 
     def above_items(self) -> tuple[SvtItem, ...]:
         """The :class:`SvtItem` of each above-threshold report."""
-        above = compress(range(len(self.tags)), self.tags)
-        return tuple(SvtItem(i, True, g, _BRANCHES[self.tags[i]], self.charges[self.tags[i]])
-                     for i, g in zip(above, self.gaps))
-
-    def audit_output(self) -> tuple[tuple[int, ...], tuple[float, ...]]:
-        """The tags and the released gaps: what the auditor bins."""
-        return self.tags, self.gaps
+        above = compress(range(len(self.codes)), self.codes)
+        return tuple(SvtItem(i, True, g, _BRANCHES[self.codes[i]], charge)
+                     for i, g, charge in zip(above, self.gaps, self.trail[1:]))
 
 
 def _require_integer_queries(q: QuerySet, cfg: SvtConfig) -> None:
@@ -204,11 +175,11 @@ def _release(q: QuerySet, cfg: SvtConfig, src: RandomSource) -> SvtResult:
     """Run :func:`svt_batch`'s kernel as one release on ``src``.
 
     The scan cannot know its length beforehand, so it runs on a look-ahead
-    window of whole queries that doubles until the ledger shows the scan
-    stopped or the queries run out.  The source then advances by exactly
-    the draws the scan used, so a shared source continues where the scan
-    stopped reading.  A stream that ends first raises where a draw-by-draw
-    scan would.
+    window of whole queries that doubles until the scan stopped or the
+    queries run out.  The source then advances by exactly the draws the
+    scan used, so a shared source continues where the scan stopped
+    reading.  A stream that ends first raises where a draw-by-draw scan
+    would.
     """
     scan = _scanner(q, cfg)
     n, step = len(q.values), 2 if cfg.adaptive else 1
@@ -221,7 +192,7 @@ def _release(q: QuerySet, cfg: SvtConfig, src: RandomSource) -> SvtResult:
             if queries < 1:
                 src.advance(len(row) + 1)  # past the end of the stream: raises
             row = row[:1 + step * queries]
-        tags, gaps, within, consumed = scan(row[None])
+        tags, gaps, within = scan(row[None])
         scanned = np.count_nonzero(within) + 1
         if scanned <= queries or queries == n:  # stopped, or out of queries
             break
@@ -231,9 +202,9 @@ def _release(q: QuerySet, cfg: SvtConfig, src: RandomSource) -> SvtResult:
     scanned = min(scanned, queries)
     src.advance(1 + step * scanned)
     tags, gaps = tags[:scanned, 0], gaps[:scanned, 0]
-    return SvtResult(tuple(tags.tolist()), tuple(gaps[tags > 0].tolist()),
-                     (0.0, cfg.eps1, cfg.eps2),
-                     BudgetLedger(cfg.epsilon, float(consumed[scanned - 1, 0])))
+    codes, charges = tuple(tags.tolist()), (0.0, cfg.eps1, cfg.eps2)
+    return SvtResult(codes, tuple(gaps[tags > 0].tolist()), cfg.epsilon,
+                     (cfg.eps0, *[charges[t] for t in codes if t]))
 
 
 def gap_svt(q: QuerySet, cfg: SvtConfig, src: RandomSource) -> SvtResult:
@@ -297,7 +268,7 @@ def svt_batch(q: QuerySet, cfg: SvtConfig):
     eps0, limit = cfg.eps0, cfg.epsilon - cfg.eps1
 
     def kernel(U: np.ndarray, thresholds: Optional[np.ndarray] = None):
-        tags, gaps, within, _ = scan(U, thresholds)
+        tags, gaps, within = scan(U, thresholds)
         scanned = np.minimum(within.sum(axis=0) + 1, len(tags))
         codes = np.where(np.arange(len(tags))[:, None] < scanned, tags, -1)
         return codes.T, np.where(codes > 0, gaps, np.nan).T, 1 + step * scanned
@@ -346,10 +317,10 @@ def _scanner(q: QuerySet, cfg: SvtConfig):
 
     ``scan(U, thresholds=None)`` takes rows holding the draws of any whole
     number of queries and scans that prefix of ``q``.  It returns, per
-    (query, trial), the tags, the candidate gaps, whether the consumed
-    budget after the query is still within ``epsilon - eps1``, and that
-    budget.  The scan stops after the first query where it is not; consumed
-    budget only grows, so the queries within it come first.
+    (query, trial), the tags, the candidate gaps and whether the consumed
+    budget after the query is still within ``epsilon - eps1``.  The scan
+    stops after the first query where it is not; consumed budget only
+    grows, so the queries within it come first.
     """
     _require_integer_queries(q, cfg)
     adaptive, eps0, limit = cfg.adaptive, cfg.eps0, cfg.epsilon - cfg.eps1
@@ -374,8 +345,7 @@ def _scanner(q: QuerySet, cfg: SvtConfig):
         # which leaves the sum unchanged.
         spent = charges.take(tags)
         spent[0] += eps0
-        consumed = _accumulate(spent)
-        return tags, gaps, consumed <= limit, consumed
+        return tags, gaps, _accumulate(spent) <= limit
 
     return scan
 

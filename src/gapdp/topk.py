@@ -9,39 +9,27 @@ is charged ``epsilon`` (``epsilon/2`` for monotonic counting queries).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from .audit import Release
 from .noise import FamilyNoise, NoiseKind, RandomSource
 from .queries import QuerySet
 
 __all__ = ["TopKResult", "gap_topk", "gap_topk_batch", "pairwise_gap"]
 
 
-@dataclass(frozen=True)
-class TopKResult:
-    """k (index, gap) pairs in descending noisy order, plus the charged budget.
-
-    ``pairs[i]`` gives the i-th ranked index and the noisy margin to the
-    (i+1)-th ranked noisy value; gaps are strictly positive except on
-    measure-zero ties.
-    """
-
-    pairs: tuple[tuple[int, float], ...]
-    epsilon_charged: float
+class TopKResult(Release):
+    """k ranked indices in descending noisy order (``codes``), each with the
+    noisy margin to the next ranked noisy value (``gaps``, strictly positive
+    except on measure-zero ties), and one charge."""
 
     @property
     def indices(self) -> tuple[int, ...]:
-        return tuple(index for index, _ in self.pairs)
+        return self.codes
 
     @property
-    def gaps(self) -> tuple[float, ...]:
-        return tuple(gap for _, gap in self.pairs)
-
-    def audit_output(self) -> tuple[tuple[int, ...], tuple[float, ...]]:
-        """The ranked indices and their gaps: what the auditor bins."""
-        return self.indices, self.gaps
+    def epsilon_charged(self) -> float:
+        return self.consumed
 
 
 def gap_topk(
@@ -62,7 +50,7 @@ def gap_topk(
     if src is None:
         raise ValueError("gap_topk needs a RandomSource, e.g. src=SeededSource(seed)")
     charged = eps / 2.0 if q.monotonic else eps
-    return TopKResult(single_run(kernel, draws, src), charged)
+    return TopKResult(*single_run(kernel, draws, src), eps, (charged,))
 
 
 def _selection_noise(q: QuerySet, k: int, eps: float, noise: str) -> NoiseKind:
@@ -119,13 +107,12 @@ def top_gaps(noisy: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
         return order[:, :k], top[:, :k] - top[:, 1:]
 
 
-def single_run(kernel, draws: int, src: RandomSource) -> tuple[tuple[int, float], ...]:
-    """The (index, gap) pairs ``kernel`` gives for one trial on the next
+def single_run(kernel, draws: int, src: RandomSource) -> tuple[tuple[int, ...], tuple[float, ...]]:
+    """The codes and gaps ``kernel`` gives for one trial on the next
     ``draws`` uniforms of ``src``, with the -1 padding dropped."""
     codes, gaps = kernel(src.uniform_matrix(1, draws))
-    return tuple(
-        (c, g) for c, g in zip(codes[0].tolist(), gaps[0].tolist()) if c != -1
-    )
+    kept = codes[0] != -1
+    return tuple(codes[0, kept].tolist()), tuple(gaps[0, kept].tolist())
 
 
 def gap_topk_batch(q: QuerySet, k: int, eps: float, noise: str = "laplace"):
@@ -151,7 +138,7 @@ def pairwise_gap(r: TopKResult, a: int, b: int) -> float:
     noisy values exactly.  Rank k+1 addresses the unreleased runner-up, which
     the k-th gap bridges to.
     """
-    k = len(r.pairs)
+    k = len(r.gaps)
     if not 1 <= a < b <= k + 1:
         raise ValueError(f"ranks must satisfy 1 <= a < b <= {k + 1}, got a={a}, b={b}")
-    return sum(r.pairs[i][1] for i in range(a - 1, b - 1))
+    return sum(r.gaps[a - 1:b - 1])

@@ -19,7 +19,6 @@ from gapdp.noise import Laplace, SeededSource, sample
 from gapdp.queries import QuerySet, adjacent_counts
 from gapdp.harness import _batched
 from gapdp.svt import (
-    BudgetLedger,
     SvtConfig,
     SvtItem,
     SvtResult,
@@ -37,7 +36,7 @@ def scalar_laplace(eps):
 
 class TestAdapters:
     def test_svt_result(self):
-        result = SvtResult((0, 1, 2, 0), (2.5, 9.0), (0.0, 0.1, 0.05), BudgetLedger(1.0, 0.5))
+        result = SvtResult((0, 1, 2, 0), (2.5, 9.0), 1.0, (0.35, 0.1, 0.05))
         discrete, reals = as_audit_output(result)
         assert discrete == (0, 1, 2, 0)
         assert reals == (2.5, 9.0)
@@ -50,17 +49,17 @@ class TestAdapters:
         assert result.above_items() == result.items[1:3]
 
     def test_topk_result(self):
-        discrete, reals = as_audit_output(TopKResult(((3, 1.5), (0, 0.5)), 1.0))
+        discrete, reals = as_audit_output(TopKResult((3, 0), (1.5, 0.5), 1.0, (1.0,)))
         assert discrete == (3, 0)
         assert reals == (1.5, 0.5)
 
     def test_hybrid_result(self):
-        discrete, reals = as_audit_output(HybridResult(((1, 2.0), (0, 3.0)), 1.0, "identity"))
+        discrete, reals = as_audit_output(HybridResult((1, 0), (2.0, 3.0), 1.0, (1.0,)))
         assert discrete == (1, 0)
         assert reals == (2.0, 3.0)
 
     def test_expmech_result(self):
-        discrete, reals = as_audit_output(ExpMechResult(2, 0.7))
+        discrete, reals = as_audit_output(ExpMechResult((2,), (0.7,), 1.0, (1.0,)))
         assert discrete == (2,)
         assert reals == (0.7,)
 

@@ -1,6 +1,6 @@
 import pytest
 
-from gapdp.hybrid import hybrid_estimates, hybrid_identity
+from gapdp.hybrid import HybridIdentityResult, HybridResult, hybrid_estimates, hybrid_identity
 from gapdp.noise import ReplaySource, SeededSource
 from gapdp.queries import QuerySet
 
@@ -16,7 +16,7 @@ class TestHybridIdentityTraces:
         result = hybrid_identity(QuerySet((9.0, 7.0, 2.0)), 5.0, 2, 1.0, zero_source(4))
         assert result.pairs == ((1, 2.0), (2, 2.0))
         assert result.actual_cost == pytest.approx(1.0)
-        assert result.variant == "identity"
+        assert type(result) is HybridIdentityResult
 
     def test_sentinel_reached_second(self):
         # Noisy list (5, 9, 2): the threshold sentinel lands at rank 2 and is
@@ -45,7 +45,7 @@ class TestHybridEstimatesTraces:
         )
         assert result.pairs == ((0, 1.0),)
         assert result.actual_cost == pytest.approx(1.5)
-        assert result.variant == "estimates"
+        assert type(result) is HybridResult
 
     def test_nothing_above_costs_theta_share(self):
         result = hybrid_estimates(

@@ -12,8 +12,8 @@ from scipy import integrate, stats
 
 from gapdp.noise import ReplayExhaustedError, ReplaySource, SeededSource
 from gapdp.queries import QuerySet
+from gapdp.audit import Release
 from gapdp.svt import (
-    BudgetLedger,
     SvtConfig,
     adaptive_svt,
     gap_svt,
@@ -377,10 +377,10 @@ def test_budget_safety_and_output_grammar(
 
 def test_budget_ledger_validation():
     with pytest.raises(ValueError):
-        BudgetLedger(1.0, 1.5)
+        Release((), (), 1.0, (1.0, 0.5))
     with pytest.raises(ValueError):
-        BudgetLedger(1.0, -0.1)
-    assert BudgetLedger(2.0, 0.5).remaining == pytest.approx(1.5)
+        Release((), (), 1.0, (-0.1,))
+    assert Release((), (), 2.0, (0.5,)).remaining == pytest.approx(1.5)
 
 
 def test_import_does_not_load_scipy():

@@ -175,11 +175,11 @@ def _release(q: QuerySet, cfg: SvtConfig, src: RandomSource) -> SvtResult:
     """Run :func:`svt_batch`'s kernel as one release on ``src``.
 
     The scan cannot know its length beforehand, so it runs on a look-ahead
-    window of whole queries that doubles until the scan stopped or the
-    queries run out.  The source then advances by exactly the draws the
-    scan used, so a shared source continues where the scan stopped
-    reading.  A stream that ends first raises where a draw-by-draw scan
-    would.
+    window of whole queries that doubles until the consumed budget shows
+    the scan stopped or the queries run out.  The source then advances by
+    exactly the draws the scan used, so a shared source continues where the
+    scan stopped reading.  A stream that ends first raises where a
+    draw-by-draw scan would.
     """
     scan = _scanner(q, cfg)
     n, step = len(q.values), 2 if cfg.adaptive else 1
@@ -202,9 +202,9 @@ def _release(q: QuerySet, cfg: SvtConfig, src: RandomSource) -> SvtResult:
     scanned = min(scanned, queries)
     src.advance(1 + step * scanned)
     tags, gaps = tags[:scanned, 0], gaps[:scanned, 0]
-    codes, charges = tuple(tags.tolist()), (0.0, cfg.eps1, cfg.eps2)
-    return SvtResult(codes, tuple(gaps[tags > 0].tolist()), cfg.epsilon,
-                     (cfg.eps0, *[charges[t] for t in codes if t]))
+    above, charges = tags > 0, (0.0, cfg.eps1, cfg.eps2)
+    return SvtResult(tuple(tags.tolist()), tuple(gaps[above].tolist()), cfg.epsilon,
+                     (cfg.eps0, *[charges[t] for t in tags[above].tolist()]))
 
 
 def gap_svt(q: QuerySet, cfg: SvtConfig, src: RandomSource) -> SvtResult:

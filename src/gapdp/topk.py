@@ -108,11 +108,11 @@ def top_gaps(noisy: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def single_run(kernel, draws: int, src: RandomSource) -> tuple[tuple[int, ...], tuple[float, ...]]:
-    """The codes and gaps ``kernel`` gives for one trial on the next
-    ``draws`` uniforms of ``src``, with the -1 padding dropped."""
-    codes, gaps = kernel(src.uniform_matrix(1, draws))
-    kept = codes[0] != -1
-    return tuple(codes[0, kept].tolist()), tuple(gaps[0, kept].tolist())
+    """The codes and gaps ``kernel`` gives for one trial on the next ``draws``
+    uniforms of ``src``, less the -1 padding, which follows the released ones."""
+    codes, gaps = (row[0].tolist() for row in kernel(src.uniform_matrix(1, draws)))
+    released = len(codes) - codes.count(-1)
+    return tuple(codes[:released]), tuple(gaps[:released])
 
 
 def gap_topk_batch(q: QuerySet, k: int, eps: float, noise: str = "laplace"):

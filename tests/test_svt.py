@@ -10,9 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
 
+from gapdp.audit import Release
 from gapdp.noise import ReplayExhaustedError, ReplaySource, SeededSource
 from gapdp.queries import QuerySet
-from gapdp.audit import Release
 from gapdp.svt import (
     SvtConfig,
     adaptive_svt,

@@ -71,10 +71,11 @@ def _selection_noise(q: QuerySet, k: int, eps: float, noise: str) -> NoiseKind:
 #: Rows at least this wide select their ``count`` largest entries with
 #: ``np.partition`` before sorting only those; narrower rows sort whole.
 #: Measured with numpy 2.4 on a shared 2-core x86 host (best of 7, count
-#: 11): 1x1000 took 36 us by sort against 52 us by partition, 1x1200 63
-#: against 41 us, 1x10^4 1028 against 141 us, and 4096x3 (the audit's
-#: chunks, count 3) 230 against 1109 us.
-_PARTITION_COLUMNS = 1200
+#: 11, two runs): 1x800 took 15-28 us by sort against 15-24 us by
+#: partition, 1x1000 21-44 against 15-25 us, 1x1200 46-72 against 15-25 us,
+#: 1x10^4 767-781 against 31-32 us, and 4096x3 (the audit's chunks, count
+#: 3) 188 against 520-543 us.
+_PARTITION_COLUMNS = 1000
 
 
 def ranked(noisy: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
@@ -86,15 +87,20 @@ def ranked(noisy: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
     if noisy.shape[1] < _PARTITION_COLUMNS:
         order = np.argsort(negated, axis=1, kind="stable")[:, :count]
     else:
-        # Keep the entries above the count-th largest value, and as many of
-        # the entries equal to it as are still needed, lowest index first:
-        # exactly the columns a stable sort puts first.  Then sort only those.
+        # Keep the entries at or above the count-th largest value: count of
+        # them, unless others tie with it.  A row with more keeps only as
+        # many of the ties as it needs, lowest index first, so that every
+        # row keeps exactly the columns a stable sort puts first.  Then sort
+        # only those.
         cut = np.partition(negated, count - 1, axis=1)[:, count - 1 : count]
-        above = negated < cut
-        tied = negated == cut
-        needed = count - np.count_nonzero(above, axis=1)[:, None]
-        keep = above | (tied & (np.cumsum(tied, axis=1) <= needed))
-        chosen = np.nonzero(keep)[1].reshape(len(noisy), count)
+        keep = negated <= cut
+        if np.count_nonzero(keep) > keep.shape[0] * count:
+            surplus = np.count_nonzero(keep, axis=1) - count
+            tied_rows = np.flatnonzero(surplus)
+            tied = negated[tied_rows] == cut[tied_rows]
+            rank = np.cumsum(tied, axis=1)
+            keep[tied_rows] &= ~tied | (rank <= rank[:, -1:] - surplus[tied_rows, None])
+        chosen = np.flatnonzero(keep).reshape(len(noisy), count) % noisy.shape[1]
         order = chosen[rows, np.argsort(negated[rows, chosen], axis=1, kind="stable")]
     return order, noisy[rows, order]
 

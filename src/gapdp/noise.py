@@ -121,7 +121,8 @@ def _read_only(values: np.ndarray) -> np.ndarray:
     return values
 
 
-_BLOCK = 4096  # the most draws one refill of a SeededSource takes
+_BLOCK = 4096  # the most draws one refill of a SeededSource takes or lists
+_FIRST_RUN = 32  # the draws a SeededSource's first refill lists
 # A SeededSource's exact-zero draw becomes this; every other draw is a
 # multiple of 2**-53, so none changes.
 _ZERO_DRAW = 2.0**-54
@@ -154,12 +155,16 @@ class SeededSource(RandomSource):
             np.random.PCG64(np.random.SeedSequence(seed, spawn_key=key))
         )
         self._next_block = 32  # grow refills so short-lived sources stay cheap
-        # Drawn but unread: _ahead[_pos:].  _buf is _ahead as a list, which
-        # keeps uniform() near a list index; peek() empties it when it
-        # rebuilds _ahead, and uniform() converts again on demand.
+        # Drawn but unread: _ahead[_pos:].  _buf is a prefix of _ahead as a
+        # list, which keeps uniform() near a list index.  Each refill lists
+        # the next _run unread draws and doubles _run up to _BLOCK while the
+        # scalar loop keeps reading; a matrix draw or a look-ahead starts it
+        # small again, so a few uniform() calls after one list a few draws,
+        # not a block.  peek() empties _buf when it rebuilds _ahead.
         self._ahead = _read_only(np.empty(0))
         self._buf: list[float] = []
         self._pos = 0
+        self._run = _FIRST_RUN
 
     def uniform(self) -> float:
         if self._pos >= len(self._buf):
@@ -169,14 +174,16 @@ class SeededSource(RandomSource):
         return u
 
     def _refill(self) -> None:
-        """Make _buf hold the unread draws, drawing a block if none are left."""
+        """Make _buf hold the next run of unread draws, drawing a block if
+        none are left."""
         if self._pos < len(self._ahead):
             self._ahead = self._ahead[self._pos:]
         else:
             self._ahead = _read_only(self._draw(self._next_block))
             self._next_block = min(2 * self._next_block, _BLOCK)
         self._pos = 0
-        self._buf = self._ahead.tolist()
+        self._buf = self._ahead[:self._run].tolist()
+        self._run = min(2 * self._run, _BLOCK)
 
     def _draw(self, n: int) -> np.ndarray:
         """The generator's next ``n`` draws, an exact zero raised to 2**-54."""
@@ -188,6 +195,7 @@ class SeededSource(RandomSource):
         n = rows * cols
         head = self._ahead[self._pos:self._pos + n]
         self._pos += len(head)
+        self._run = _FIRST_RUN
         tail = self._draw(n - len(head))
         if len(head):
             tail = np.concatenate([head, tail])
@@ -200,6 +208,7 @@ class SeededSource(RandomSource):
             self._ahead = _read_only(np.concatenate([self._ahead[self._pos:], fresh]))
             self._buf = []
             self._pos = 0
+        self._run = _FIRST_RUN
         return self._ahead[self._pos:self._pos + n]
 
     def advance(self, m: int) -> None:

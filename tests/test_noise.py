@@ -197,6 +197,11 @@ def test_look_ahead_and_draws_interleave_into_one_stream():
     drawn += ahead[4:9004].tolist()
     drawn += a.uniform_matrix(1, 5000).ravel().tolist()
     drawn += [a.uniform() for _ in range(3)]
+    drawn += a.uniform_matrix(2, 3000).ravel().tolist()  # drains what uniform() left
+    drawn += [a.uniform()]
+    ahead = a.peek(7).tolist()
+    drawn += [a.uniform() for _ in range(10_000)]
+    assert drawn[-10_000:-9993] == ahead
     assert drawn == [b.uniform() for _ in range(len(drawn))]
 
 

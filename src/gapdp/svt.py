@@ -17,9 +17,9 @@ one-sided draws are debiased by their expected value so gaps stay centered.
 Both run one implementation, the array kernel of :func:`svt_batch`, which
 the audit and the experiment harness also run over many trials at once.  A
 release cannot know beforehand how many draws its scan takes, so it runs
-the kernel on a look-ahead window of its source (:meth:`RandomSource.peek`)
-that doubles until the scan stops, then consumes exactly the draws the scan
-read.  The result is a :class:`gapdp.audit.Release` of the scan's tags,
+the kernel on look-ahead windows of its source (:meth:`RandomSource.peek`),
+each resuming the scan where the last one stopped reading, until the scan
+stops; the source gives up exactly the draws the scan read.  The result is a :class:`gapdp.audit.Release` of the scan's tags,
 released gaps and charges (eps0, then each report's charge in scan order);
 :class:`SvtItem` objects are built from it only when asked for.
 
@@ -163,48 +163,62 @@ def _require_integer_queries(q: QuerySet, cfg: SvtConfig) -> None:
         )
 
 
-# Queries in a release's first look-ahead window; each later window doubles
-# and scans again from the start.  A kernel pass costs ~30 us of numpy call
-# overhead plus ~30 ns per query (2-core x86 host), so a first window of
-# this size wastes at most about one pass's overhead on a scan that stops
-# early, and a scan over 10^4 queries takes at most five passes.
+# Queries in a release's first look-ahead window; each later window takes
+# as many queries again as the scan has read, so a scan of m queries runs
+# about log2(m / 1024) + 1 kernel passes and reads each query once.  A pass
+# costs ~30 us of numpy call overhead plus ~30 ns per query (2-core x86
+# host), so a first window of this size wastes at most about one pass's
+# overhead on a scan that stops early, and a scan over 10^4 queries takes
+# at most five passes.
 _FIRST_WINDOW = 1024
 
 
 def _release(q: QuerySet, cfg: SvtConfig, src: RandomSource) -> SvtResult:
     """Run :func:`svt_batch`'s kernel as one release on ``src``.
 
-    The scan cannot know its length beforehand, so it runs on a look-ahead
-    window of whole queries that doubles until the consumed budget shows
-    the scan stopped or the queries run out.  The source then advances by
-    exactly the draws the scan used, so a shared source continues where the
-    scan stopped reading.  A stream that ends first raises where a
-    draw-by-draw scan would.
+    The scan cannot know its length beforehand, so it runs on look-ahead
+    windows of whole queries, each continuing where the last one stopped
+    reading, until the consumed budget shows the scan stopped or the queries
+    run out.  The source advances by exactly the draws each window's scan
+    used, so a shared source continues where the scan stopped reading.  A
+    stream that ends first raises where a draw-by-draw scan would.
     """
     scan = _scanner(q, cfg)
-    n, step = len(q.values), 2 if cfg.adaptive else 1
-    queries = min(n, _FIRST_WINDOW)
+    n, step, charges = len(q.values), 2 if cfg.adaptive else 1, (0.0, cfg.eps1, cfg.eps2)
+    tags, gaps, trail = [], [], [cfg.eps0]
+    # A window after the first carries the scan's state in: the threshold
+    # draw, put back in front of the window's query draws, the consumed
+    # budget and the next query.
+    threshold, consumed, first, queries = None, cfg.eps0, 0, min(n, _FIRST_WINDOW)
     while True:
-        row = src.peek(1 + step * queries)
-        short = len(row) < 1 + step * queries
-        if short:
-            queries = (len(row) - 1) // step
+        lead = threshold is None  # the first window reads the threshold draw
+        row = src.peek(lead + step * queries)
+        if len(row) < lead + step * queries:  # the stream ends inside the window
+            queries = (len(row) - lead) // step
             if queries < 1:
                 src.advance(len(row) + 1)  # past the end of the stream: raises
-            row = row[:1 + step * queries]
-        tags, gaps, within = scan(row[None])
-        scanned = np.count_nonzero(within) + 1
-        if scanned <= queries or queries == n:  # stopped, or out of queries
-            break
-        if short:
-            src.advance(len(row) + 1)
-        queries = min(2 * queries, n)
-    scanned = min(scanned, queries)
-    src.advance(1 + step * scanned)
-    tags, gaps = tags[:scanned, 0], gaps[:scanned, 0]
-    above, charges = tags > 0, (0.0, cfg.eps1, cfg.eps2)
-    return SvtResult(tuple(tags.tolist()), tuple(gaps[above].tolist()), cfg.epsilon,
-                     (cfg.eps0, *[charges[t] for t in tags[above].tolist()]))
+            row = row[:lead + step * queries]
+        if lead:
+            threshold = row[:1]
+        else:
+            row = np.concatenate((threshold, row))
+        window_tags, window_gaps, within = scan(row[None], first=first, consumed=consumed)
+        within = np.count_nonzero(within)  # queries after which the scan goes on
+        stopped, scanned = within < queries, min(within + 1, queries)
+        window_tags = window_tags[:scanned, 0]
+        above = window_tags > 0
+        reported = [charges[t] for t in window_tags[above].tolist()]
+        tags.append(window_tags)
+        gaps += window_gaps[:scanned, 0][above].tolist()
+        trail += reported
+        src.advance(lead + step * scanned)
+        first += queries
+        if stopped or first == n:
+            codes = tuple(np.concatenate(tags).tolist())
+            return SvtResult(codes, tuple(gaps), cfg.epsilon, tuple(trail))
+        for charge in reported:  # in scan order, as the scan sums it
+            consumed += charge
+        queries = min(first, n - first)
 
 
 def gap_svt(q: QuerySet, cfg: SvtConfig, src: RandomSource) -> SvtResult:
@@ -315,12 +329,15 @@ def _tag(cfg: SvtConfig, value, noisy_threshold, mid, top):
 def _scanner(q: QuerySet, cfg: SvtConfig):
     """The scan behind :func:`svt_batch`'s kernel, with every query at once.
 
-    ``scan(U, thresholds=None)`` takes rows holding the draws of any whole
-    number of queries and scans that prefix of ``q``.  It returns, per
-    (query, trial), the tags, the candidate gaps and whether the consumed
-    budget after the query is still within ``epsilon - eps1``.  The scan
-    stops after the first query where it is not; consumed budget only
-    grows, so the queries within it come first.
+    ``scan(U, thresholds=None, first=0, consumed=eps0)`` takes rows
+    holding the threshold draw and then the draws of any whole number of
+    queries, and scans those queries of ``q`` from query ``first`` on,
+    after ``consumed`` budget: a scan resumed where an earlier one over
+    queries ``0..first-1`` stopped reading.  It returns, per (query, trial),
+    the tags, the candidate gaps and whether the consumed budget after the
+    query is still within ``epsilon - eps1``.  The scan stops after the
+    first query where it is not; consumed budget only grows, so the queries
+    within it come first.
     """
     _require_integer_queries(q, cfg)
     adaptive, eps0, limit = cfg.adaptive, cfg.eps0, cfg.epsilon - cfg.eps1
@@ -328,9 +345,10 @@ def _scanner(q: QuerySet, cfg: SvtConfig):
     step = 2 if adaptive else 1
     values = q.value_array[:, None]
 
-    def scan(U: np.ndarray, thresholds: Optional[np.ndarray] = None):
+    def scan(U: np.ndarray, thresholds: Optional[np.ndarray] = None, first: int = 0,
+             consumed: float = eps0):
         threshold = cfg.threshold if thresholds is None else thresholds
-        v = values[:(U.shape[1] - 1) // step]
+        v = values[first:first + (U.shape[1] - 1) // step]
         # A zero draw gives Laplace noise -inf, and two give -inf minus -inf:
         # a NaN gap, as in a draw-by-draw scan.
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -344,7 +362,7 @@ def _scanner(q: QuerySet, cfg: SvtConfig):
         # draw-by-draw scan sums it: a query below the threshold adds 0.0,
         # which leaves the sum unchanged.
         spent = charges.take(tags)
-        spent[0] += eps0
+        spent[0] += consumed
         return tags, gaps, _accumulate(spent) <= limit
 
     return scan

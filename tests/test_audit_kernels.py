@@ -34,6 +34,7 @@ from gapdp.noise import (
     Geometric,
     Gumbel,
     Laplace,
+    ReplayExhaustedError,
     ReplaySource,
     SeededSource,
     sample,
@@ -41,7 +42,7 @@ from gapdp.noise import (
     sample_logistic_nonneg_array,
 )
 from gapdp.queries import QuerySet, adjacent_counts
-from gapdp.svt import SvtConfig, adaptive_svt, gap_svt, svt_batch
+from gapdp.svt import _FIRST_WINDOW, SvtConfig, adaptive_svt, gap_svt, svt_batch
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
@@ -276,17 +277,30 @@ def test_public_call_is_kernel_row(name):
                 assert same_reals(list(reals), want_reals), row
 
 
+def stopping_at(stop, n=3000):
+    """3000 queries of 0 but one of 1000 at ``stop``: against a threshold of
+    200, a scan at k = 1 reports that one and stops there."""
+    values = np.zeros(n)
+    values[stop] = 1000.0
+    return QuerySet(tuple(values))
+
+
 @pytest.mark.parametrize("name", SVT_CASES)
 def test_consecutive_releases_read_the_stream_as_the_scalar_scan(name):
     # Releases on one shared source read it as back-to-back draw-by-draw
-    # scans do, and leave it where they leave it: short scans, and scans
-    # over 3000 queries far below the threshold that stop in a later
-    # look-ahead window or run out of queries.
+    # scans do, and leave it where they leave it: short scans, scans over
+    # 3000 queries far below the threshold that stop in a later look-ahead
+    # window or run out of queries, and scans that stop on the last query of
+    # the first window or on either of the first two of the second.
     rng = np.random.default_rng(23)
     mech = adaptive_svt if name.startswith("adaptive") else gap_svt
+    at_window_edge = [(stopping_at(stop), svt_config(name, threshold=200.0, theta=0.4))
+                      for stop in (_FIRST_WINDOW - 1, _FIRST_WINDOW, _FIRST_WINDOW + 1)]
     for n, threshold in ((1, 0.0), (3, 1.0), (300, 20.0), (3000, 60.0), (3000, 80.0)):
         data = QuerySet(tuple(rng.integers(0, 26, n).astype(float)))
         cfg = svt_config(name, k=3, threshold=threshold, theta=0.4)
+        at_window_edge.append((data, cfg))
+    for data, cfg in at_window_edge:
         seed = int(rng.integers(2**32))
         shared, scalar = SeededSource(seed), SeededSource(seed)
         for _ in range(3):
@@ -300,6 +314,32 @@ def test_consecutive_releases_read_the_stream_as_the_scalar_scan(name):
             got = [item.gap for item in result.above_items()]
             assert got == pytest.approx(gaps, rel=1e-12, abs=1e-12)
         assert shared.uniform() == scalar.uniform()
+
+
+@pytest.mark.parametrize("name", SVT_CASES)
+def test_replay_ending_in_the_second_window_raises_where_the_scalar_scan_does(name):
+    # The scan stops on query _FIRST_WINDOW + 5.  Streams that end just
+    # before, inside and after its draws, and inside the draws of the
+    # query before it, raise where the draw-by-draw scan runs dry; the
+    # others give its release and leave the same draws unread.
+    cfg = svt_config(name, threshold=200.0, theta=0.4)
+    mech = adaptive_svt if cfg.adaptive else gap_svt
+    step, stop = 1 + cfg.adaptive, _FIRST_WINDOW + 5
+    data = stopping_at(stop)
+    stream = np.random.default_rng(29).random(1 + step * (stop + 3)).tolist()
+    full = 1 + step * (stop + 1)  # the draws the scan reads
+    for length in (1 + step * _FIRST_WINDOW, full - step - 1, full - 1, full, full + 1):
+        replay, scalar = ReplaySource(stream[:length]), ReplaySource(stream[:length])
+        try:
+            tags, _, consumed, _ = svt_scan(cfg, data.values, scalar.uniform)
+        except ReplayExhaustedError:
+            with pytest.raises(ReplayExhaustedError):
+                mech(data, cfg, replay)
+            continue
+        result = mech(data, cfg, replay)
+        assert result.codes == tags and len(tags) == stop + 1
+        assert result.trail == (cfg.eps0, (0.0, cfg.eps1, cfg.eps2)[tags[-1]])
+        assert result.consumed == consumed and replay.remaining == scalar.remaining
 
 
 @pytest.mark.parametrize("noise", ["laplace", "exponential", "geometric"])

@@ -12,8 +12,10 @@ from scipy import integrate, stats
 
 from gapdp.audit import Release
 from gapdp.noise import ReplayExhaustedError, ReplaySource, SeededSource
+from gapdp import svt as svt_module
 from gapdp.queries import QuerySet
 from gapdp.svt import (
+    _FIRST_WINDOW,
     SvtConfig,
     adaptive_svt,
     gap_svt,
@@ -154,6 +156,32 @@ def test_short_replay_raises_where_the_scan_runs_out(adaptive):
     above = SvtConfig(epsilon=1.0, k=1, threshold=0.0, theta=0.5, adaptive=adaptive)
     src = zero_source("laplace", 1 + per_query)
     assert len(run(q, above, src).items) == 1 and src.remaining == 0
+
+
+@pytest.mark.parametrize("adaptive", [False, True])
+@pytest.mark.parametrize("windows", [2, 3])
+def test_a_release_scans_each_query_once(monkeypatch, adaptive, windows):
+    # Queries -i far below the threshold, but for one far above it where
+    # the scan stops, past the first _FIRST_WINDOW * 2**(windows - 2) queries.
+    # The tag rule must see each query once, in order: every query the scan
+    # read, then the rest of the last window unread.
+    stop = _FIRST_WINDOW * 2 ** (windows - 2) + 10
+    values = -np.arange(5000.0)
+    values[stop] = 1000.0
+    seen, tag = [], svt_module._tag
+
+    def counted(cfg, value, *noise):
+        seen.append(np.ravel(value).tolist())
+        return tag(cfg, value, *noise)
+
+    monkeypatch.setattr(svt_module, "_tag", counted)
+    cfg = SvtConfig(epsilon=1.0, k=1, threshold=100.0, theta=0.5, adaptive=adaptive)
+    result = (adaptive_svt if adaptive else gap_svt)(QuerySet(tuple(values)), cfg, SeededSource(5))
+    scanned = len(result.codes)
+    assert scanned == stop + 1 and len(seen) == windows
+    queries = [stop if v == 1000.0 else -int(v) for window in seen for v in window]
+    assert queries == list(range(len(queries)))
+    assert len(queries) - len(seen[-1]) < scanned <= len(queries)
 
 
 def test_scans_keep_their_own_comparison_on_infinite_draws():

@@ -122,7 +122,7 @@ def _read_only(values: np.ndarray) -> np.ndarray:
 
 
 _BLOCK = 4096  # the most draws one refill of a SeededSource takes or lists
-_FIRST_RUN = 32  # the draws a SeededSource's first refill lists
+_FIRST_RUN = 32  # the draws a SeededSource lists first, and after a matrix draw or a look-ahead
 # A SeededSource's exact-zero draw becomes this; every other draw is a
 # multiple of 2**-53, so none changes.
 _ZERO_DRAW = 2.0**-54

@@ -19,9 +19,10 @@ the audit and the experiment harness also run over many trials at once.  A
 release cannot know beforehand how many draws its scan takes, so it runs
 the kernel on look-ahead windows of its source (:meth:`RandomSource.peek`),
 each resuming the scan where the last one stopped reading, until the scan
-stops; the source gives up exactly the draws the scan read.  The result is a :class:`gapdp.audit.Release` of the scan's tags,
-released gaps and charges (eps0, then each report's charge in scan order);
-:class:`SvtItem` objects are built from it only when asked for.
+stops; the source gives up exactly the draws the scan read.  The result is
+a :class:`gapdp.audit.Release` of the scan's tags, released gaps and
+charges (eps0, then each report's charge in scan order); :class:`SvtItem`
+objects are built from it only when asked for.
 
 Also here: the budget-split tuner :func:`theta_optimal`, and the lower
 confidence machinery for gap estimates (:func:`tail_probability`,
@@ -166,10 +167,10 @@ def _require_integer_queries(q: QuerySet, cfg: SvtConfig) -> None:
 # Queries in a release's first look-ahead window; each later window takes
 # as many queries again as the scan has read, so a scan of m queries runs
 # about log2(m / 1024) + 1 kernel passes and reads each query once.  A pass
-# costs ~30 us of numpy call overhead plus ~30 ns per query (2-core x86
-# host), so a first window of this size wastes at most about one pass's
-# overhead on a scan that stops early, and a scan over 10^4 queries takes
-# at most five passes.
+# costs ~20-35 us of numpy call overhead plus ~10-20 ns per query (gap_svt
+# to adaptive_svt, 2-core x86 host), so a first window of this size wastes
+# at most about one pass's overhead on a scan that stops early, and a scan
+# over 10^4 queries takes at most five passes.
 _FIRST_WINDOW = 1024
 
 
@@ -186,32 +187,30 @@ def _release(q: QuerySet, cfg: SvtConfig, src: RandomSource) -> SvtResult:
     scan = _scanner(q, cfg)
     n, step, charges = len(q.values), 2 if cfg.adaptive else 1, (0.0, cfg.eps1, cfg.eps2)
     tags, gaps, trail = [], [], [cfg.eps0]
-    # A window after the first carries the scan's state in: the threshold
-    # draw, put back in front of the window's query draws, the consumed
-    # budget and the next query.
-    threshold, consumed, first, queries = None, cfg.eps0, 0, min(n, _FIRST_WINDOW)
+    # Each window's row is the threshold draw, then the window's query
+    # draws; the scan resumes at the window's first query after the budget
+    # consumed so far.
+    threshold = src.peek(1)
+    src.advance(1)  # an empty stream raises here, as the scan's first draw would
+    consumed, first, queries = cfg.eps0, 0, min(n, _FIRST_WINDOW)
     while True:
-        lead = threshold is None  # the first window reads the threshold draw
-        row = src.peek(lead + step * queries)
-        if len(row) < lead + step * queries:  # the stream ends inside the window
-            queries = (len(row) - lead) // step
+        row = src.peek(step * queries)
+        if len(row) < step * queries:  # the stream ends inside the window
+            queries = len(row) // step
             if queries < 1:
                 src.advance(len(row) + 1)  # past the end of the stream: raises
-            row = row[:lead + step * queries]
-        if lead:
-            threshold = row[:1]
-        else:
-            row = np.concatenate((threshold, row))
-        window_tags, window_gaps, within = scan(row[None], first=first, consumed=consumed)
-        within = np.count_nonzero(within)  # queries after which the scan goes on
-        stopped, scanned = within < queries, min(within + 1, queries)
+            row = row[:step * queries]
+        window_tags, window_gaps, within = scan(np.concatenate((threshold, row))[None],
+                                                first=first, consumed=consumed)
+        going_on = np.count_nonzero(within)  # queries after which the scan goes on
+        stopped, scanned = going_on < queries, min(going_on + 1, queries)
         window_tags = window_tags[:scanned, 0]
         above = window_tags > 0
         reported = [charges[t] for t in window_tags[above].tolist()]
         tags.append(window_tags)
         gaps += window_gaps[:scanned, 0][above].tolist()
         trail += reported
-        src.advance(lead + step * scanned)
+        src.advance(step * scanned)
         first += queries
         if stopped or first == n:
             codes = tuple(np.concatenate(tags).tolist())

@@ -294,13 +294,15 @@ def test_consecutive_releases_read_the_stream_as_the_scalar_scan(name):
     # the first window or on either of the first two of the second.
     rng = np.random.default_rng(23)
     mech = adaptive_svt if name.startswith("adaptive") else gap_svt
-    at_window_edge = [(stopping_at(stop), svt_config(name, threshold=200.0, theta=0.4))
-                      for stop in (_FIRST_WINDOW - 1, _FIRST_WINDOW, _FIRST_WINDOW + 1)]
-    for n, threshold in ((1, 0.0), (3, 1.0), (300, 20.0), (3000, 60.0), (3000, 80.0)):
-        data = QuerySet(tuple(rng.integers(0, 26, n).astype(float)))
-        cfg = svt_config(name, k=3, threshold=threshold, theta=0.4)
-        at_window_edge.append((data, cfg))
-    for data, cfg in at_window_edge:
+
+    def cases():
+        for n, threshold in ((1, 0.0), (3, 1.0), (300, 20.0), (3000, 60.0), (3000, 80.0)):
+            data = QuerySet(tuple(rng.integers(0, 26, n).astype(float)))
+            yield data, svt_config(name, k=3, threshold=threshold, theta=0.4)
+        for stop in (_FIRST_WINDOW - 1, _FIRST_WINDOW, _FIRST_WINDOW + 1):
+            yield stopping_at(stop), svt_config(name, threshold=200.0, theta=0.4)
+
+    for data, cfg in cases():
         seed = int(rng.integers(2**32))
         shared, scalar = SeededSource(seed), SeededSource(seed)
         for _ in range(3):

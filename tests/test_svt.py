@@ -10,9 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
 
+from gapdp import svt as svt_module
 from gapdp.audit import Release
 from gapdp.noise import ReplayExhaustedError, ReplaySource, SeededSource
-from gapdp import svt as svt_module
 from gapdp.queries import QuerySet
 from gapdp.svt import (
     _FIRST_WINDOW,

@@ -44,10 +44,14 @@ def test_tie_break_prefers_lowest_index():
 
 
 @pytest.mark.parametrize("rows", [1, 32])
-@pytest.mark.parametrize("n", [topk._PARTITION_COLUMNS + 1, 10_000])
+@pytest.mark.parametrize("n", [topk._PARTITION_COLUMNS + 1, 1201, 10_000])
 def test_ranked_by_partition_matches_a_stable_sort(rows, n):
     # Rows this wide select by partition before sorting; the result must be
     # what a stable sort of the whole row gives, ties and infinities included.
+    # Integer rows tie at every cut.  Continuous rows do not, so most keep
+    # exactly the entries at or above the cut; one of them ties two entries
+    # at the cut, and in others -inf entries (half the row, then all but its
+    # last entry) rank last, in index order.
     assert n >= topk._PARTITION_COLUMNS
     rng = np.random.default_rng(n + rows)
     noisy = rng.integers(0, 4, (rows, n)).astype(float)
@@ -55,32 +59,20 @@ def test_ranked_by_partition_matches_a_stable_sort(rows, n):
         noisy[rng.random((rows, n)) < 0.001] = value
     noisy[0, :] = 3.0  # one row tied everywhere
     noisy[-1, :40] = np.inf  # and one whose top entries are all +inf
-    want = np.argsort(-noisy, axis=1, kind="stable")
-    for count in (1, 11, n):
-        order, values = ranked(noisy, count)
-        assert np.array_equal(order, want[:, :count])
-        assert np.array_equal(values, np.take_along_axis(noisy, want[:, :count], axis=1))
-
-
-@pytest.mark.parametrize("rows", [1, 32])
-@pytest.mark.parametrize("n", [topk._PARTITION_COLUMNS + 1, 10_000])
-def test_ranked_by_partition_matches_a_stable_sort_on_continuous_rows(rows, n):
-    # Continuous rows do not tie, so most rows keep exactly the entries at
-    # or above the cut.  One row ties two entries at the cut; in others,
-    # -inf entries (half the row, then all but its last entry) rank last, in
-    # index order.
-    rng = np.random.default_rng(3 * n + rows)
+    cases = [(noisy, (1, 11, n))]
     for count in (2, 11):
         tied, half, all_but_last = rng.normal(0.0, 100.0, (3, rows, n))
         by_value = np.argsort(-tied[0])
         tied[0, by_value[count]] = tied[0, by_value[count - 1]]
         half[-1, rng.random(n) < 0.5] = -np.inf
         all_but_last[-1, :-1] = -np.inf
-        for noisy in (tied, half, all_but_last):
-            want = np.argsort(-noisy, axis=1, kind="stable")[:, :count]
+        cases += [(tied, (count,)), (half, (count,)), (all_but_last, (count,))]
+    for noisy, counts in cases:
+        want = np.argsort(-noisy, axis=1, kind="stable")
+        for count in counts:
             order, values = ranked(noisy, count)
-            assert np.array_equal(order, want)
-            assert np.array_equal(values, np.take_along_axis(noisy, want, axis=1))
+            assert np.array_equal(order, want[:, :count])
+            assert np.array_equal(values, np.take_along_axis(noisy, want[:, :count], axis=1))
 
 
 def test_zero_noise_boundary_ties_go_to_the_lowest_index_at_dataset_scale():

@@ -165,12 +165,12 @@ def _require_integer_queries(q: QuerySet, cfg: SvtConfig) -> None:
 
 
 # Queries in a release's first look-ahead window; each later window takes
-# as many queries again as the scan has read, so a scan of m queries runs
-# about log2(m / 1024) + 1 kernel passes and reads each query once.  A pass
-# costs ~20-35 us of numpy call overhead plus ~10-20 ns per query (gap_svt
-# to adaptive_svt, 2-core x86 host), so a first window of this size wastes
-# at most about one pass's overhead on a scan that stops early, and a scan
-# over 10^4 queries takes at most five passes.
+# as many queries again as the scan has read so far, so a scan of m > 1024
+# queries runs ceil(log2(m / 1024)) + 1 kernel passes and reads each query
+# once.  A pass costs ~20-35 us of numpy call overhead plus ~10-20 ns per
+# query (gap_svt to adaptive_svt, 2-core x86 host), so a first window of
+# this size wastes at most about one pass's overhead on a scan that stops
+# early, and a scan over 10^4 queries takes at most five passes.
 _FIRST_WINDOW = 1024
 
 

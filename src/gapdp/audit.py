@@ -27,10 +27,14 @@ hands the kernel the next rows of the stream.  A mechanism whose trials
 can stop early returns ``used`` from the kernel as a third array, the
 uniforms each row's trial read, and ``reach(stream)``, which gives that
 ``used`` for every window ``stream[s:s + draws]`` of a 1-D stream without
-running the whole kernel.  The auditor chains the trials through ``reach``'s counts, each
-starting where the one before stopped reading, and runs the kernel on
-those windows only.  Either way the batch path reads exactly the uniforms
-the scalar loop reads and gives the same histogram for the same seed.
+running the whole kernel.  For such a mechanism each chunk reads its
+stream ahead with :meth:`RandomSource.peek`, as the SVT release does.  The
+auditor chains the trials through ``reach``'s counts, each starting where
+the one before stopped reading, runs the kernel on those windows only, and
+consumes with :meth:`RandomSource.advance` the draws up to the end of the
+last trial.  Either way the batch path reads exactly the uniforms the
+scalar loop reads, leaves its source where the scalar loop leaves it and
+gives the same histogram for the same seed.
 Trials run in chunks of a few thousand, each binned with one ``np.unique``.
 
 A callable without the attribute (or any wrapper around one, since
@@ -72,10 +76,11 @@ Mechanism = Callable[[QuerySet, RandomSource], object]
 # Trials per kernel call on the batch path.  It bounds the kernel's working
 # set at a few MB.
 _CHUNK = 4096
-# For a kernel that stops early, the trials a chunk's stream holds if each
-# reads every draw.  They read fewer, so a chunk runs more trials than this,
-# and ``reach`` holds about a dozen arrays as long as the stream: half of
-# _CHUNK keeps the peak working set near a fixed-draw chunk's.
+# For a kernel that stops early, the trials a chunk's look-ahead holds if
+# each reads every draw.  They read fewer, so a chunk runs more trials than
+# this and the source advances only past the draws they read.  ``reach``
+# holds about a dozen arrays as long as the look-ahead: half of _CHUNK keeps
+# the peak working set near a fixed-draw chunk's.
 _STREAM_TRIALS = _CHUNK // 2
 
 # The fewest trials per input an audit runs, and the error for fewer.
@@ -198,23 +203,21 @@ def _histogram(
 
     draws, kernel, reach = batch(data)
     parts = []
-    carry = np.empty(0)
     done = 0
     while done < cfg.trials:
         if reach is None:
             U = src.uniform_matrix(min(_CHUNK, cfg.trials - done), draws)
         else:
-            # A stream long enough for ``wanted`` trials, which takes every
-            # trial that starts in it: each starts where the one before it
-            # stopped reading, as in the scalar loop.  The kernel runs on the
-            # windows where trials start, and the draws after the last trial
-            # (fewer than ``draws``) begin the next chunk's stream.
+            # A look-ahead long enough for ``wanted`` trials, which takes
+            # every trial that starts in it: each starts where the one before
+            # it stopped reading, as in the scalar loop.  The kernel runs on
+            # the windows where trials start, and the source consumes only
+            # the draws up to the end of the last trial.
             wanted = min(_STREAM_TRIALS, cfg.trials - done)
-            fresh = src.uniform_matrix(1, wanted * draws - len(carry))[0]
-            stream = np.concatenate([carry, fresh])
+            stream = src.peek(wanted * draws)
             used = reach(stream)
             starts = _chain(used, cfg.trials - done)
-            carry = stream[starts[-1] + used[starts[-1]]:]
+            src.advance(starts[-1] + used[starts[-1]])
             U = np.lib.stride_tricks.sliding_window_view(stream, draws)[starts]
         codes, gaps = kernel(U)[:2]
         done += len(U)

@@ -559,12 +559,10 @@ def standard_audit_cases(eps: float = 1.0) -> list[AuditCase]:
 
 
 def run_audit_suite(
-    eps: float, trials: int, seed: int, cases: Optional[Sequence[AuditCase]] = None
+    eps: float, trials: int, seed: int
 ) -> list[tuple[AuditCase, audit_mod.AuditReport]]:
-    if cases is None:
-        cases = standard_audit_cases(eps)
     results = []
-    for case in cases:
+    for case in standard_audit_cases(eps):
         cfg = audit_mod.AuditConfig(
             trials=trials, bin_width=case.bin_width,
             min_count=case.min_count, seed=seed,

@@ -121,8 +121,8 @@ def _read_only(values: np.ndarray) -> np.ndarray:
     return values
 
 
-_BLOCK = 4096  # the most draws one refill of a SeededSource takes or lists
-_FIRST_RUN = 32  # the draws a SeededSource lists first, and after a matrix draw or a look-ahead
+_BLOCK = 4096  # the draws one refill of a SeededSource takes (a longer look-ahead takes more)
+_RUN = 256  # the unread draws a SeededSource lists at a time for uniform()
 # A SeededSource's exact-zero draw becomes this; every other draw is a
 # multiple of 2**-53, so none changes.
 _ZERO_DRAW = 2.0**-54
@@ -154,17 +154,14 @@ class SeededSource(RandomSource):
         self._gen = np.random.Generator(
             np.random.PCG64(np.random.SeedSequence(seed, spawn_key=key))
         )
-        self._next_block = 32  # grow refills so short-lived sources stay cheap
         # Drawn but unread: _ahead[_pos:].  _buf is a prefix of _ahead as a
         # list, which keeps uniform() near a list index.  Each refill lists
-        # the next _run unread draws and doubles _run up to _BLOCK while the
-        # scalar loop keeps reading; a matrix draw or a look-ahead starts it
-        # small again, so a few uniform() calls after one list a few draws,
-        # not a block.  peek() empties _buf when it rebuilds _ahead.
+        # the next _RUN unread draws, so a few uniform() calls after a
+        # matrix draw or a look-ahead list a run, not a block.  peek()
+        # empties _buf when it rebuilds _ahead.
         self._ahead = _read_only(np.empty(0))
         self._buf: list[float] = []
         self._pos = 0
-        self._run = _FIRST_RUN
 
     def uniform(self) -> float:
         if self._pos >= len(self._buf):
@@ -179,11 +176,9 @@ class SeededSource(RandomSource):
         if self._pos < len(self._ahead):
             self._ahead = self._ahead[self._pos:]
         else:
-            self._ahead = _read_only(self._draw(self._next_block))
-            self._next_block = min(2 * self._next_block, _BLOCK)
+            self._ahead = _read_only(self._draw(_BLOCK))
         self._pos = 0
-        self._buf = self._ahead[:self._run].tolist()
-        self._run = min(2 * self._run, _BLOCK)
+        self._buf = self._ahead[:_RUN].tolist()
 
     def _draw(self, n: int) -> np.ndarray:
         """The generator's next ``n`` draws, an exact zero raised to 2**-54."""
@@ -195,7 +190,6 @@ class SeededSource(RandomSource):
         n = rows * cols
         head = self._ahead[self._pos:self._pos + n]
         self._pos += len(head)
-        self._run = _FIRST_RUN
         tail = self._draw(n - len(head))
         if len(head):
             tail = np.concatenate([head, tail])
@@ -204,11 +198,10 @@ class SeededSource(RandomSource):
     def peek(self, n: int) -> np.ndarray:
         short = self._pos + n - len(self._ahead)
         if short > 0:
-            fresh = self._draw(max(short, self._next_block))
+            fresh = self._draw(max(short, _BLOCK))
             self._ahead = _read_only(np.concatenate([self._ahead[self._pos:], fresh]))
             self._buf = []
             self._pos = 0
-        self._run = _FIRST_RUN
         return self._ahead[self._pos:self._pos + n]
 
     def advance(self, m: int) -> None:
@@ -224,14 +217,13 @@ class ReplaySource(RandomSource):
         for v in vals:
             if not 0.0 <= v < 1.0:
                 raise ValueError(f"replay value {v} outside [0, 1)")
-        self._values = vals
         self._array = _read_only(np.array(vals, dtype=np.float64))
         self._pos = 0
 
     def uniform(self) -> float:
-        if self._pos >= len(self._values):
+        if self._pos >= len(self._array):
             self._exhausted()
-        u = self._values[self._pos]
+        u = self._array.item(self._pos)
         self._pos += 1
         return u
 
@@ -239,19 +231,19 @@ class ReplaySource(RandomSource):
         return self._array[self._pos:self._pos + n]
 
     def advance(self, m: int) -> None:
-        if self._pos + m > len(self._values):
-            self._pos = len(self._values)
+        if self._pos + m > len(self._array):
+            self._pos = len(self._array)
             self._exhausted()
         self._pos += m
 
     def _exhausted(self):
         raise ReplayExhaustedError(
-            f"replay source exhausted after {len(self._values)} draws"
+            f"replay source exhausted after {len(self._array)} draws"
         )
 
     @property
     def remaining(self) -> int:
-        return len(self._values) - self._pos
+        return len(self._array) - self._pos
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,7 @@ from gapdp.noise import (
     ReplayExhaustedError,
     ReplaySource,
     SeededSource,
+    _BLOCK,
     canonical_family,
     mean_of,
     sample,
@@ -202,7 +203,21 @@ def test_look_ahead_and_draws_interleave_into_one_stream():
     ahead = a.peek(7).tolist()
     drawn += [a.uniform() for _ in range(10_000)]
     assert drawn[-10_000:-9993] == ahead
+    # A look-ahead past a block, then a scalar loop through many runs of it,
+    # its end and the blocks after it.
+    ahead = a.peek(_BLOCK + 100).tolist()
+    drawn += [a.uniform() for _ in range(3 * _BLOCK)]
+    assert drawn[-3 * _BLOCK:][:_BLOCK + 100] == ahead
     assert drawn == [b.uniform() for _ in range(len(drawn))]
+
+
+@pytest.mark.parametrize("make", [lambda: SeededSource(3), lambda: ReplaySource([0.25] * 9)])
+def test_uniform_returns_a_python_float(make):
+    src = make()
+    assert type(src.uniform()) is float
+    src.peek(4)
+    src.advance(2)
+    assert type(src.uniform()) is float
 
 
 def test_replay_peek_returns_what_is_left():

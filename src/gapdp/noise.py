@@ -12,7 +12,8 @@ kernel.  The fixed-draw ones (top-k, the hybrids, Gumbel-max) take a
 (1, draws) row from :meth:`RandomSource.uniform_matrix`.  The sparse-vector
 scans stop early, so they read ahead with :meth:`RandomSource.peek` and then
 consume with :meth:`RandomSource.advance` only the draws the scan used.  The
-audit takes a whole (trials, draws) matrix of the same stream.  A kernel
+audit takes a whole (trials, draws) matrix of the same stream for a
+fixed-draw kernel and reads a chunk of scans ahead the same way.  A kernel
 maps its matrix through the array forms ``inverse_cdf_array`` (or, for one
 family at several scales, ``unit_array`` and ``from_unit``) and
 :func:`sample_logistic_nonneg_array`.  Each array form applies the same

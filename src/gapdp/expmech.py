@@ -33,10 +33,12 @@ from .audit import Release
 from .noise import (
     Gumbel,
     RandomSource,
+    logistic_nonneg,
     sample_logistic_nonneg,
     sample_logistic_nonneg_array,
 )
-from .topk import single_run, top_gaps
+from .queries import descending
+from .topk import noisy_ranked, single_run, top_gaps
 
 __all__ = [
     "ExpMechResult",
@@ -85,6 +87,13 @@ class UtilityTable:
     def scaled_scores(self) -> tuple[float, ...]:
         """x_i = epsilon * score_i / (2 * sensitivity); the only scale used."""
         return self._scaled
+
+    @cached_property
+    def by_value(self) -> tuple[np.ndarray, list[float]]:
+        """:func:`gapdp.queries.descending` of ``scaled_array``, built once:
+        what a wide Gumbel-max release reads to find the outcomes that can
+        still win."""
+        return descending(self.scaled_array)
 
     @cached_property
     def _softmax_table(self) -> tuple[list[float], np.ndarray]:
@@ -155,7 +164,7 @@ def exp_mech_gumbel_batch(u: UtilityTable):
     gumbel = Gumbel(0.0)
 
     def kernel(U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return top_gaps(scaled + gumbel.inverse_cdf_array(U), 1)
+        return top_gaps(*noisy_ranked(scaled, u.by_value, gumbel, U, 2))
 
     return len(scaled), kernel, None
 
@@ -197,12 +206,15 @@ def exp_mech_blackbox_gap(
     """
     cumulative, locations = u._softmax_table
     if selector is None:
-        s = _inverse_cdf_pick(cumulative, src.uniform())
+        # Both draws at once, as the fixed-draw mechanisms take theirs.
+        pick, draw = src.uniform_matrix(1, 2)[0].tolist()
+        s = _inverse_cdf_pick(cumulative, pick)
+        gap = logistic_nonneg(float(locations[s]), draw)
     else:
         s = selector(u.scaled_scores(), src)
         if not 0 <= s < len(cumulative):
             raise IndexError(f"selector chose {s}, out of range for {len(cumulative)} outcomes")
-    gap = sample_logistic_nonneg(float(locations[s]), src)
+        gap = sample_logistic_nonneg(float(locations[s]), src)
     return ExpMechResult((s,), (gap,), u.epsilon, (u.epsilon,))
 
 

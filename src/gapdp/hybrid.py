@@ -25,7 +25,7 @@ import numpy as np
 from .audit import Release
 from .noise import Exponential, FamilyNoise, RandomSource
 from .queries import QuerySet
-from .topk import ranked, single_run, top_gaps
+from .topk import noisy_ranked, single_run, top_gaps
 
 __all__ = [
     "HybridIdentityResult",
@@ -109,7 +109,7 @@ def hybrid_identity_batch(q: QuerySet, threshold: float, k: int, eps: float):
     offsets = np.concatenate([[threshold], q.value_array])
 
     def kernel(U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        codes, gaps = top_gaps(offsets + kind.inverse_cdf_array(U), k)
+        codes, gaps = top_gaps(*noisy_ranked(offsets, q.by_value, kind, U, k + 1, head=1))
         sentinel = codes == THRESHOLD_SENTINEL
         past = np.cumsum(sentinel, axis=1) > sentinel
         return np.where(past, -1, codes), np.where(past, np.nan, gaps)
@@ -160,7 +160,8 @@ def hybrid_estimates_batch(
 
     def kernel(U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         noisy_threshold = threshold + threshold_kind.inverse_cdf_array(U[:, :1]) - b0
-        order, top = ranked(values + query_kind.inverse_cdf_array(U[:, 1:]) - b1, k)
+        order, top = noisy_ranked(values, q.by_value, query_kind, U[:, 1:], k,
+                                  lambda v, z: v + z - b1)
         above = np.logical_and.accumulate(top >= noisy_threshold, axis=1)
         return np.where(above, order, -1), np.where(above, top - noisy_threshold, np.nan)
 

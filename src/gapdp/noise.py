@@ -6,9 +6,11 @@ source.  :class:`SeededSource` gives reproducible pseudo-random streams;
 :class:`ReplaySource` replays a fixed list of uniforms, which is what makes
 exact zero-noise hand traces testable.
 
-The black-box exponential mechanism draws one value at a time through
-:func:`sample_logistic_nonneg`.  Every other mechanism runs its batch
-kernel.  The fixed-draw ones (top-k, the hybrids, Gumbel-max) take a
+The black-box exponential mechanism with its default selector takes its
+two draws as a (1, 2) row from :meth:`RandomSource.uniform_matrix`, and a
+caller's selector reads through :meth:`RandomSource.uniform`; either way
+:func:`logistic_nonneg` maps the gap draw.  Every other mechanism runs its
+batch kernel.  The fixed-draw ones (top-k, the hybrids, Gumbel-max) take a
 (1, draws) row from :meth:`RandomSource.uniform_matrix`.  The sparse-vector
 scans stop early, so they read ahead with :meth:`RandomSource.peek` and then
 consume with :meth:`RandomSource.advance` only the draws the scan used.  The
@@ -61,6 +63,8 @@ __all__ = [
     "SeededSource",
     "STREAMS",
     "canonical_family",
+    "ceiling",
+    "logistic_nonneg",
     "mean_of",
     "sample",
     "sample_logistic_nonneg",
@@ -228,6 +232,12 @@ class ReplaySource(RandomSource):
         self._pos += 1
         return u
 
+    def uniform_matrix(self, rows: int, cols: int) -> np.ndarray:
+        # A copy of the stored slice; a short stream raises as uniform() does.
+        start = self._pos
+        self.advance(rows * cols)
+        return self._array[start:self._pos].reshape(rows, cols).copy()
+
     def peek(self, n: int) -> np.ndarray:
         return self._array[self._pos:self._pos + n]
 
@@ -380,7 +390,16 @@ class Gumbel:
 
     def inverse_cdf_array(self, u: np.ndarray) -> np.ndarray:
         with np.errstate(divide="ignore"):  # u = 0 gives -inf, as above
-            return self.loc - np.log(-np.log(u))
+            return self.from_unit(self.unit_array(u))
+
+    @staticmethod
+    def unit_array(u: np.ndarray) -> np.ndarray:
+        """``log(u)``, which :meth:`from_unit` maps to a draw; see
+        :meth:`Laplace.unit_array`."""
+        return np.log(u)
+
+    def from_unit(self, z: np.ndarray) -> np.ndarray:
+        return self.loc - np.log(-z)
 
 
 @dataclass(frozen=True)
@@ -472,6 +491,30 @@ def sample(kind: NoiseKind, src: RandomSource) -> float:
     return kind.inverse_cdf(src.uniform())
 
 
+#: A ceiling's unit draw moved by a relative 1e-9 both ways, which covers
+#: the last-ulp errors of numpy's ``log``/``log1p`` (about 1e-16, relative)
+#: many times over.
+_CEILING_SLACK = np.array([1.0 - 1e-9, 1.0 + 1e-9])
+
+
+def ceiling(kind: NoiseKind, u: float) -> float:
+    """An upper bound on the noise ``kind.inverse_cdf_array`` gives any draw
+    of at most ``u``.
+
+    Every inverse CDF here is non-decreasing in its draw, so the noise of
+    ``u`` bounds the noise of every smaller draw, up to rounding: numpy's
+    ``log`` and ``log1p`` are off by up to an ulp, and need not be monotone
+    between adjacent draws.  So the bound moves ``u``'s unit draw (see
+    :meth:`Laplace.unit_array`) by a relative ``1e-9`` both ways and keeps
+    the larger noise: ``from_unit`` is monotone, increasing or decreasing
+    by family, and only the unit draw is rounded in a way that can break
+    the order.  A draw of 0 can give -inf, which bounds nothing finite.
+    """
+    with np.errstate(divide="ignore"):
+        z = kind.unit_array(np.array([u])) * _CEILING_SLACK
+    return max(kind.from_unit(z).tolist())
+
+
 def variance_of(kind: NoiseKind) -> float:
     """Closed-form variance of ``kind``."""
     return kind.variance
@@ -493,7 +536,12 @@ def sample_logistic_nonneg(location: float, src: RandomSource) -> float:
     F(0) = 1/(1+e^location) the conditional inverse CDF simplifies to
     log(1 + u*e^location) - log(1-u), evaluated in log-space for stability.
     """
-    u = src.uniform()
+    return logistic_nonneg(location, src.uniform())
+
+
+def logistic_nonneg(location: float, u: float) -> float:
+    """:func:`sample_logistic_nonneg` on a given uniform ``u``, the one
+    home of the scalar formula."""
     if u <= 0.0:
         u = math.ulp(0.0)  # keep the output strictly positive
     a = location + math.log(u)

@@ -9,6 +9,7 @@ sensitivity 1 and are monotonic: adding a record can only raise counts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable
 
@@ -19,6 +20,7 @@ __all__ = [
     "QuerySet",
     "TransactionDB",
     "adjacent_counts",
+    "descending",
     "item_counts",
     "load_transactions",
 ]
@@ -55,12 +57,25 @@ class QuerySet:
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "value_array", array)
 
+    @cached_property
+    def by_value(self) -> tuple[np.ndarray, list[float]]:
+        """:func:`descending` of ``value_array``, built once: what a wide
+        release reads to find the queries that can still be selected."""
+        return descending(self.value_array)
+
     @property
     def sensitivity(self) -> float:
         return 1.0
 
     def __len__(self) -> int:
         return len(self.values)
+
+
+def descending(values: np.ndarray) -> tuple[np.ndarray, list[float]]:
+    """The indices of ``values`` from the largest value down, equal values
+    in index order, and the values in that order as floats."""
+    order = np.argsort(-values, kind="stable")
+    return order, values[order].tolist()
 
 
 @dataclass(frozen=True)

@@ -14,15 +14,18 @@ consumption never exceeds ``epsilon``.  One-sided exponential or geometric
 noise (the latter for integer-valued queries) can replace Laplace noise; the
 one-sided draws are debiased by their expected value so gaps stay centered.
 
-Both run one implementation, the array kernel of :func:`svt_batch`, which
-the audit and the experiment harness also run over many trials at once.  A
-release cannot know beforehand how many draws its scan takes, so it runs
-the kernel on look-ahead windows of its source (:meth:`RandomSource.peek`),
-each resuming the scan where the last one stopped reading, until the scan
-stops; the source gives up exactly the draws the scan read.  The result is
-a :class:`gapdp.audit.Release` of the scan's tags, released gaps and
-charges (eps0, then each report's charge in scan order); :class:`SvtItem`
-objects are built from it only when asked for.
+Both run one implementation, the scan behind the array kernel of
+:func:`svt_batch`, which the audit and the experiment harness also run over
+many trials at once.  A release cannot know beforehand how many draws its
+scan takes, so it reads the rest of its source ahead
+(:meth:`RandomSource.peek`) and scans it in one pass; the source gives up
+exactly the draws the scan read.  Over ``_PARTITION_COLUMNS`` queries or
+more, the scan tags only the queries whose value could pass the test with
+the noise of the row's largest draw, a few dozen of 10^4 on counting data,
+and the rest go below at no charge.  The result is a
+:class:`gapdp.audit.Release` of the scan's tags, released gaps and charges
+(eps0, then each report's charge in scan order); :class:`SvtItem` objects
+are built from it only when asked for.
 
 Also here: the budget-split tuner :func:`theta_optimal`, and the lower
 confidence machinery for gap estimates (:func:`tail_probability`,
@@ -33,15 +36,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import compress
 from typing import Optional
 
 import numpy as np
 
 from .audit import Release
-from .noise import FamilyNoise, RandomSource, canonical_family, variance_of
+from .noise import FamilyNoise, RandomSource, canonical_family, ceiling, variance_of
 from .queries import QuerySet
+from .topk import _PARTITION_COLUMNS, leading
 
 __all__ = [
     "SvtConfig",
@@ -96,18 +100,29 @@ class SvtConfig:
 
     @cached_property
     def _scan_constants(self) -> tuple:
-        """What every scan under this config uses, built once: ``(kind,
-        centre)`` of the threshold noise at eps0 and of the query noise at
-        eps1 and eps2, the top branch's margin of two standard deviations,
-        and the charge of each tag (0 below, 1 middle, 2 top).  Monotonic
-        lists support half the query noise scale at the same privacy cost."""
-        spread = 1.0 if self.monotonic else 2.0
-        noises = (FamilyNoise(self.noise, self.eps0), FamilyNoise(self.noise, self.eps1, spread),
-                  FamilyNoise(self.noise, self.eps2, spread))
-        (thr, b0), (mid, b1), (top, b2) = ((noise.kind, noise.centre) for noise in noises)
-        charges = np.array((0.0, self.eps1, self.eps2))
-        charges.flags.writeable = False
-        return thr, b0, mid, b1, top, b2, 2.0 * math.sqrt(variance_of(top)), charges
+        """What every scan under this config uses: ``(kind, centre)`` of the
+        threshold noise at eps0 and of the query noise at eps1 and eps2, the
+        top branch's margin of two standard deviations, and the charge of
+        each tag (0 below, 1 middle, 2 top).  None depends on the threshold,
+        so configs that differ only there share one tuple."""
+        return _constants(self.epsilon, self.k, self.theta, self.noise, self.monotonic,
+                          self.adaptive)
+
+
+@lru_cache(maxsize=64)
+def _constants(epsilon: float, k: int, theta: float, family: str, monotonic: bool,
+               adaptive: bool) -> tuple:
+    """:attr:`SvtConfig._scan_constants` of the configs with these fields.
+    Monotonic lists support half the query noise scale at the same privacy
+    cost."""
+    cfg = SvtConfig(epsilon, k, 0.0, theta, family, monotonic, adaptive)
+    spread = 1.0 if monotonic else 2.0
+    noises = (FamilyNoise(family, cfg.eps0), FamilyNoise(family, cfg.eps1, spread),
+              FamilyNoise(family, cfg.eps2, spread))
+    (thr, b0), (mid, b1), (top, b2) = ((noise.kind, noise.centre) for noise in noises)
+    charges = np.array((0.0, cfg.eps1, cfg.eps2))
+    charges.flags.writeable = False
+    return thr, b0, mid, b1, top, b2, 2.0 * math.sqrt(variance_of(top)), charges
 
 
 @dataclass(frozen=True, slots=True)
@@ -164,60 +179,31 @@ def _require_integer_queries(q: QuerySet, cfg: SvtConfig) -> None:
         )
 
 
-# Queries in a release's first look-ahead window; each later window takes
-# as many queries again as the scan has read so far, so a scan of m > 1024
-# queries runs ceil(log2(m / 1024)) + 1 kernel passes and reads each query
-# once.  A pass costs ~20-35 us of numpy call overhead plus ~10-20 ns per
-# query (gap_svt to adaptive_svt, 2-core x86 host), so a first window of
-# this size wastes at most about one pass's overhead on a scan that stops
-# early, and a scan over 10^4 queries takes at most five passes.
-_FIRST_WINDOW = 1024
-
-
 def _release(q: QuerySet, cfg: SvtConfig, src: RandomSource) -> SvtResult:
-    """Run :func:`svt_batch`'s kernel as one release on ``src``.
+    """Run :func:`svt_batch`'s scan as one release on ``src``.
 
-    The scan cannot know its length beforehand, so it runs on look-ahead
-    windows of whole queries, each continuing where the last one stopped
-    reading, until the consumed budget shows the scan stopped or the queries
-    run out.  The source advances by exactly the draws each window's scan
-    used, so a shared source continues where the scan stopped reading.  A
-    stream that ends first raises where a draw-by-draw scan would.
+    The scan cannot know its length beforehand, so it reads the rest of the
+    stream ahead, the threshold draw and the draws of every query, and scans
+    it in one pass (``trial`` of :func:`_scanner`: on a wide row only the
+    queries that can pass the test are tagged).  The source advances by
+    exactly the draws the scan used, so a shared source continues where the
+    scan stopped reading.  A stream that ends first raises where a
+    draw-by-draw scan would.
     """
-    scan = _scanner(q, cfg)
-    n, step, charges = len(q.values), 2 if cfg.adaptive else 1, (0.0, cfg.eps1, cfg.eps2)
-    tags, gaps, trail = [], [], [cfg.eps0]
-    # Each window's row is the threshold draw, then the window's query
-    # draws; the scan resumes at the window's first query after the budget
-    # consumed so far.
-    threshold = src.peek(1)
-    src.advance(1)  # an empty stream raises here, as the scan's first draw would
-    consumed, first, queries = cfg.eps0, 0, min(n, _FIRST_WINDOW)
-    while True:
-        row = src.peek(step * queries)
-        if len(row) < step * queries:  # the stream ends inside the window
-            queries = len(row) // step
-            if queries < 1:
-                src.advance(len(row) + 1)  # past the end of the stream: raises
-            row = row[:step * queries]
-        window_tags, window_gaps, within = scan(np.concatenate((threshold, row))[None],
-                                                first=first, consumed=consumed)
-        going_on = np.count_nonzero(within)  # queries after which the scan goes on
-        stopped, scanned = going_on < queries, min(going_on + 1, queries)
-        window_tags = window_tags[:scanned, 0]
-        above = window_tags > 0
-        reported = [charges[t] for t in window_tags[above].tolist()]
-        tags.append(window_tags)
-        gaps += window_gaps[:scanned, 0][above].tolist()
-        trail += reported
-        src.advance(step * scanned)
-        first += queries
-        if stopped or first == n:
-            codes = tuple(np.concatenate(tags).tolist())
-            return SvtResult(codes, tuple(gaps), cfg.epsilon, tuple(trail))
-        for charge in reported:  # in scan order, as the scan sums it
-            consumed += charge
-        queries = min(first, n - first)
+    n, step = len(q.values), 2 if cfg.adaptive else 1
+    row = src.peek(1 + step * n)
+    if not len(row):
+        src.advance(1)  # an empty stream raises here, as the scan's first draw would
+    scanned, stopped, cols, tags, gaps = _scanner(q, cfg)[1](row)
+    if not stopped and scanned < n:
+        src.advance(len(row) + 1)  # the stream ends inside the scan: raises where it runs dry
+    src.advance(1 + step * scanned)
+    codes, reported = [0] * scanned, tags.tolist()
+    for col, tag in zip(cols.tolist(), reported):
+        codes[col] = tag
+    charges = (0.0, cfg.eps1, cfg.eps2)
+    trail = (cfg.eps0, *(charges[t] for t in reported))
+    return SvtResult(tuple(codes), tuple(gaps.tolist()), cfg.epsilon, trail)
 
 
 def gap_svt(q: QuerySet, cfg: SvtConfig, src: RandomSource) -> SvtResult:
@@ -227,7 +213,7 @@ def gap_svt(q: QuerySet, cfg: SvtConfig, src: RandomSource) -> SvtResult:
     scale 2/eps1 (1/eps1 for monotonic lists).  An above-threshold report
     emits the noisy gap and charges eps1; the scan stops once the consumed
     budget exceeds epsilon - eps1 or the queries run out.  Runs
-    :func:`svt_batch`'s kernel on the next uniforms of ``src``, consuming
+    :func:`svt_batch`'s scan on the next uniforms of ``src``, consuming
     exactly the threshold draw and one draw per scanned query.
     """
     if cfg.adaptive:
@@ -243,7 +229,7 @@ def adaptive_svt(q: QuerySet, cfg: SvtConfig, src: RandomSource) -> SvtResult:
     deviation of that top-branch noise; passing reports the gap at cost eps2.
     Otherwise a moderately noised value (eps1) is tested at margin 0.  Both
     noise values are always drawn, whether or not they are used, so replayed
-    traces are stable.  Runs :func:`svt_batch`'s kernel on the next uniforms
+    traces are stable.  Runs :func:`svt_batch`'s scan on the next uniforms
     of ``src``, consuming exactly the threshold draw and two per scanned
     query.
     """
@@ -254,8 +240,8 @@ def adaptive_svt(q: QuerySet, cfg: SvtConfig, src: RandomSource) -> SvtResult:
 
 def svt_batch(q: QuerySet, cfg: SvtConfig):
     """The kernel of :func:`gap_svt` (or :func:`adaptive_svt` when
-    ``cfg.adaptive``) on ``q``, which the public calls, the audit and the
-    experiment harness run: returns ``(draws, kernel, reach)``.
+    ``cfg.adaptive``) on ``q``, which the audit and the experiment harness
+    run and the public calls release: returns ``(draws, kernel, reach)``.
 
     ``kernel(U, thresholds=None)`` takes a (trials, draws) uniform matrix
     laid out as a scan reads it (threshold, then per query its top draw if
@@ -265,7 +251,9 @@ def svt_batch(q: QuerySet, cfg: SvtConfig):
     query's column, NaN in the others) and ``used`` (int64, the draws the
     trial read).  ``thresholds``, one per row, replaces ``cfg.threshold``.
     A trial stops after the query whose charge takes the consumed budget
-    past ``epsilon - eps1``, and the rest of its row goes unread.
+    past ``epsilon - eps1``, and the rest of its row goes unread.  On
+    ``_PARTITION_COLUMNS`` queries or more each row is one pruned ``trial``
+    of :func:`_scanner`, as a release runs it.
 
     ``reach(stream)`` takes a 1-D uniform stream and returns, for every
     offset s with a whole window ``stream[s:s + draws]``, the ``used`` the
@@ -274,17 +262,28 @@ def svt_batch(q: QuerySet, cfg: SvtConfig):
     it first to find where back-to-back trials start, then runs the kernel
     on those rows only.
     """
-    scan = _scanner(q, cfg)
-    step = 2 if cfg.adaptive else 1
-    draws = 1 + step * len(q.values)
+    scan, trial = _scanner(q, cfg)
+    n, step = len(q.values), 2 if cfg.adaptive else 1
+    draws = 1 + step * n
     thr_kind, b0, mid_kind, _, top_kind, _, _, charges = cfg._scan_constants
     eps0, limit = cfg.eps0, cfg.epsilon - cfg.eps1
 
     def kernel(U: np.ndarray, thresholds: Optional[np.ndarray] = None):
-        tags, gaps, within = scan(U, thresholds)
-        scanned = np.minimum(within.sum(axis=0) + 1, len(tags))
-        codes = np.where(np.arange(len(tags))[:, None] < scanned, tags, -1)
-        return codes.T, np.where(codes > 0, gaps, np.nan).T, 1 + step * scanned
+        if n < _PARTITION_COLUMNS:
+            tags, gaps, within = scan(U, thresholds)
+            scanned = np.minimum(within.sum(axis=0) + 1, n)
+            codes = np.where(np.arange(n)[:, None] < scanned, tags, -1)
+            return codes.T, np.where(codes > 0, gaps, np.nan).T, 1 + step * scanned
+        codes = np.full((len(U), n), -1)
+        gaps = np.full((len(U), n), np.nan)
+        used = np.empty(len(U), dtype=np.int64)
+        for r, row in enumerate(U):
+            scanned, _, cols, tags, row_gaps = trial(
+                row, cfg.threshold if thresholds is None else thresholds[r])
+            codes[r, :scanned] = 0
+            codes[r, cols], gaps[r, cols] = tags, row_gaps
+            used[r] = 1 + step * scanned
+        return codes, gaps, used
 
     def reach(stream: np.ndarray) -> np.ndarray:
         offsets = max(len(stream) - draws + 1, 0)
@@ -303,7 +302,7 @@ def svt_batch(q: QuerySet, cfg: SvtConfig):
                                None if top is None else top[at - 1:at - 1 + offsets])
                 consumed = consumed + charges.take(tags)  # in scan order, as _accumulate sums
                 within += consumed <= limit
-        return 1 + step * np.minimum(within + 1, len(q.values))
+        return 1 + step * np.minimum(within + 1, n)
 
     return draws, kernel, reach
 
@@ -315,39 +314,69 @@ def _tag(cfg: SvtConfig, value, noisy_threshold, mid, top):
     noise (``from_unit`` draws, before their centre is taken off).  Every
     argument broadcasts, so one statement of the rule serves the kernel's
     (query, trial) arrays and :func:`svt_batch`'s per-offset ``reach``."""
+    gaps, middle, over_top, top_hit = _compare(cfg, value, noisy_threshold, mid, top)
+    if not cfg.adaptive:
+        return middle.astype(np.int64), gaps
+    return np.where(top_hit, 2, middle), np.where(top_hit, over_top, gaps)
+
+
+def _compare(cfg: SvtConfig, value, noisy_threshold, mid, top):
+    """The comparisons of :func:`_tag`, on floats and arrays alike: the
+    candidate gap, whether the middle test passes, and for the adaptive
+    scan the top branch's gap and whether its test passes (else None and
+    False).  A wide scan's pruning runs them with the noise at its ceiling,
+    so it bounds the test with the test's own float expressions."""
     _, _, _, b1, _, b2, margin, _ = cfg._scan_constants
     noisy_mid = value + mid - b1
     gaps = noisy_mid - noisy_threshold
     if not cfg.adaptive:
-        return (noisy_mid >= noisy_threshold).astype(np.int64), gaps
+        return gaps, noisy_mid >= noisy_threshold, None, False
     over_top = value + top - b2 - noisy_threshold
-    top_hit = over_top >= margin
-    return np.where(top_hit, 2, gaps >= 0.0), np.where(top_hit, over_top, gaps)
+    return gaps, gaps >= 0.0, over_top, over_top >= margin
 
 
 def _scanner(q: QuerySet, cfg: SvtConfig):
-    """The scan behind :func:`svt_batch`'s kernel, with every query at once.
+    """The scan behind :func:`svt_batch`'s kernel and the releases:
+    ``(scan, trial)``.
 
-    ``scan(U, thresholds=None, first=0, consumed=eps0)`` takes rows
-    holding the threshold draw and then the draws of any whole number of
-    queries, and scans those queries of ``q`` from query ``first`` on,
-    after ``consumed`` budget: a scan resumed where an earlier one over
-    queries ``0..first-1`` stopped reading.  It returns, per (query, trial),
-    the tags, the candidate gaps and whether the consumed budget after the
-    query is still within ``epsilon - eps1``.  The scan stops after the
-    first query where it is not; consumed budget only grows, so the queries
-    within it come first.
+    ``scan(U, thresholds=None)`` takes rows holding the threshold draw and
+    then the draws of the first m <= n queries, and scans them with every
+    query at once.  It returns, per (query, trial), the tags, the candidate
+    gaps and whether the consumed budget after the query is still within
+    ``epsilon - eps1``.  The scan stops after the first query where it is
+    not; consumed budget only grows, so the queries within it come first.
+
+    ``trial(row, threshold=cfg.threshold)`` scans one such row and returns
+    what it releases: how many queries it scans (all m if it does not
+    stop), whether it stopped, and the columns, tags and gaps of its
+    reports.  On ``_PARTITION_COLUMNS`` queries or more it tags only the
+    queries that can pass the test: a query's test, run by :func:`_compare`
+    with its noise replaced by the :func:`gapdp.noise.ceiling` of the row's
+    largest query draw, bounds its real test.  Those bounds fall with the
+    value, so the queries that can pass are the largest values, found by
+    bisection, and they are scanned in index order.  Queries that cannot
+    pass are tagged 0 and add nothing to the consumed budget.  A noisy
+    threshold or a ceiling that is not finite tags every query.
     """
     _require_integer_queries(q, cfg)
     adaptive, eps0, limit = cfg.adaptive, cfg.eps0, cfg.epsilon - cfg.eps1
     thr_kind, b0, mid_kind, _, top_kind, _, _, charges = cfg._scan_constants
     step = 2 if adaptive else 1
-    values = q.value_array[:, None]
+    values = q.value_array
 
-    def scan(U: np.ndarray, thresholds: Optional[np.ndarray] = None, first: int = 0,
-             consumed: float = eps0):
+    def tally(v, noisy_threshold, z):
+        # z holds the queries' unit draws, one row per draw.  Consumed
+        # budget after each query is summed in scan order as a draw-by-draw
+        # scan sums it: a query below the threshold adds 0.0, which leaves
+        # the sum unchanged.
+        tags, gaps = _tag(cfg, v, noisy_threshold, mid_kind.from_unit(z[step - 1::step]),
+                          top_kind.from_unit(z[::2]) if adaptive else None)
+        spent = charges.take(tags)
+        spent[:1] += eps0
+        return tags, gaps, _accumulate(spent) <= limit
+
+    def scan(U: np.ndarray, thresholds: Optional[np.ndarray] = None):
         threshold = cfg.threshold if thresholds is None else thresholds
-        v = values[first:first + (U.shape[1] - 1) // step]
         # A zero draw gives Laplace noise -inf, and two give -inf minus -inf:
         # a NaN gap, as in a draw-by-draw scan.
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -355,16 +384,44 @@ def _scanner(q: QuerySet, cfg: SvtConfig):
             # every trial's draw j, so a stream window's rows are contiguous.
             z = thr_kind.unit_array(U.T)
             noisy_threshold = threshold + thr_kind.from_unit(z[0]) - b0
-            tags, gaps = _tag(cfg, v, noisy_threshold, mid_kind.from_unit(z[step::step]),
-                              top_kind.from_unit(z[1::2]) if adaptive else None)
-        # Consumed budget after each query, summed in scan order as a
-        # draw-by-draw scan sums it: a query below the threshold adds 0.0,
-        # which leaves the sum unchanged.
-        spent = charges.take(tags)
-        spent[0] += consumed
-        return tags, gaps, _accumulate(spent) <= limit
+            return tally(values[:(len(z) - 1) // step, None], noisy_threshold, z[1:])
 
-    return scan
+    def passing(draws: np.ndarray, noisy_threshold: float) -> np.ndarray:
+        # The queries, among the first len(draws), that can pass the test.
+        u = float(draws.max())
+        mid = ceiling(mid_kind, u)
+        top = ceiling(top_kind, u) if adaptive else mid
+        if not (math.isfinite(noisy_threshold) and math.isfinite(mid) and math.isfinite(top)):
+            return np.arange(len(draws))
+
+        def passes(v):
+            _, middle, _, top_hit = _compare(cfg, v, noisy_threshold, mid, top)
+            return middle or top_hit
+
+        order, ordered = q.by_value
+        cols = np.sort(order[:leading(ordered, passes)])
+        return cols[cols < len(draws)]
+
+    def trial(row: np.ndarray, threshold: float = cfg.threshold):
+        m = (len(row) - 1) // step
+        draws = row[1:1 + step * m].reshape(m, step)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            unit = float(thr_kind.from_unit(thr_kind.unit_array(row[:1]))[0])
+            noisy_threshold = threshold + unit - b0
+            if len(values) >= _PARTITION_COLUMNS and m:
+                cols = passing(draws, noisy_threshold)
+            else:
+                cols = np.arange(m)
+            z = thr_kind.unit_array(draws[cols].ravel())
+            tags, gaps, within = tally(values[cols, None], noisy_threshold, z[:, None])
+        tags, gaps = tags[:, 0], gaps[:, 0]
+        last = np.count_nonzero(within)  # the position of the query the scan stops on
+        stopped = last < len(cols)
+        scanned = int(cols[last]) + 1 if stopped else m
+        above = np.flatnonzero(tags[:last + 1])
+        return scanned, stopped, cols[above], tags[above], gaps[above]
+
+    return scan, trial
 
 
 def _accumulate(spent: np.ndarray) -> np.ndarray:

@@ -9,10 +9,15 @@ is charged ``epsilon`` (``epsilon/2`` for monotonic counting queries).
 
 from __future__ import annotations
 
+import bisect
+import math
+import operator
+from typing import Callable, Sequence
+
 import numpy as np
 
 from .audit import Release
-from .noise import FamilyNoise, NoiseKind, RandomSource
+from .noise import FamilyNoise, NoiseKind, RandomSource, ceiling
 from .queries import QuerySet
 
 __all__ = ["TopKResult", "gap_topk", "gap_topk_batch", "pairwise_gap"]
@@ -74,7 +79,10 @@ def _selection_noise(q: QuerySet, k: int, eps: float, noise: str) -> NoiseKind:
 #: 11, two runs): 1x800 took 15-28 us by sort against 15-24 us by
 #: partition, 1x1000 21-44 against 15-25 us, 1x1200 46-72 against 15-25 us,
 #: 1x10^4 767-781 against 31-32 us, and 4096x3 (the audit's chunks, count
-#: 3) 188 against 520-543 us.
+#: 3) 188 against 520-543 us.  Kernel rows at least this wide also compute
+#: noise only for the columns that can still be selected
+#: (:func:`noisy_ranked`, and the sparse-vector scan's ``trial``), so the
+#: audit (n <= 5) and the experiment harness (n <= 200) stay dense.
 _PARTITION_COLUMNS = 1000
 
 
@@ -105,12 +113,56 @@ def ranked(noisy: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
     return order, noisy[rows, order]
 
 
-def top_gaps(noisy: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per row, the indices of the ``k`` largest entries as :func:`ranked`
-    orders them, and the gap from each to the next ranked entry."""
-    order, top = ranked(noisy, k + 1)
+def leading(ordered: Sequence[float], holds: Callable[[float], bool]) -> int:
+    """How many leading entries of ``ordered`` satisfy ``holds``, which
+    must hold on a prefix of it: a bisection."""
+    return bisect.bisect_left(ordered, True, key=lambda v: not holds(v))
+
+
+def noisy_ranked(values: np.ndarray, by_value: tuple[np.ndarray, list[float]], kind: NoiseKind,
+                 U: np.ndarray, count: int, noisy=operator.add,
+                 head: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of ``U``, what ``ranked(noisy(values, kind.inverse_cdf_array(U)),
+    count)`` gives, where ``noisy`` is non-decreasing in both arguments.
+
+    ``by_value`` is :func:`gapdp.queries.descending` of ``values[head:]``.
+    A row of ``_PARTITION_COLUMNS`` columns or more computes noise only for
+    the columns that can still rank.  The ``count`` largest values, with
+    their noise, give a level that at least ``count`` noisy values reach.
+    A column whose ``noisy`` value, with its noise replaced by the
+    :func:`gapdp.noise.ceiling` of the row's largest draw, is below that
+    level cannot rank: the same float expression, rounded monotonically,
+    bounds its noisy value.  Those bounds fall with the value, so the
+    columns that can rank are the largest values, found by bisection.  They
+    and the first ``head`` columns are ranked in index order, so ties break
+    as over the whole row.  A level of -inf (a draw of 0) or a ceiling that
+    is not finite keeps every column.
+    """
+    order, ordered = by_value
+    if U.shape[1] < _PARTITION_COLUMNS or len(order) <= count:
+        return ranked(noisy(values, kind.inverse_cdf_array(U)), count)
+    seed, heads = order[:count] + head, np.arange(head)
+    picked = np.empty((len(U), count), dtype=np.int64)
+    picked_values = np.empty((len(U), count))
+    for r, u in enumerate(U):
+        level = min(noisy(values[seed], kind.inverse_cdf_array(u[seed])).tolist())
+        top = ceiling(kind, float(u.max()))
+        if math.isfinite(level) and math.isfinite(top):
+            reach = leading(ordered, lambda v: noisy(v, top) >= level)
+            cols = np.concatenate((heads, np.sort(order[:reach]) + head))
+        else:
+            cols = np.arange(len(values))
+        noisy_cols = noisy(values[cols], kind.inverse_cdf_array(u[cols]))
+        row_order, row_values = ranked(noisy_cols[None], count)
+        picked[r], picked_values[r] = cols[row_order[0]], row_values[0]
+    return picked, picked_values
+
+
+def top_gaps(order: np.ndarray, top: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Of :func:`ranked`'s ``count`` indices and values per row, the first
+    ``count - 1`` indices and the gap from each to the next ranked entry."""
     with np.errstate(invalid="ignore"):  # -inf minus -inf: a NaN gap
-        return order[:, :k], top[:, :k] - top[:, 1:]
+        return order[:, :-1], top[:, :-1] - top[:, 1:]
 
 
 def single_run(kernel, draws: int, src: RandomSource) -> tuple[tuple[int, ...], tuple[float, ...]]:
@@ -132,7 +184,7 @@ def gap_topk_batch(q: QuerySet, k: int, eps: float, noise: str = "laplace"):
     values = q.value_array
 
     def kernel(U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return top_gaps(values + kind.inverse_cdf_array(U), k)
+        return top_gaps(*noisy_ranked(values, q.by_value, kind, U, k + 1))
 
     return len(values), kernel, None
 

@@ -25,9 +25,12 @@ import numpy as np
 import pytest
 
 from gapdp import audit
+from gapdp import svt as svt_module
+from gapdp import topk as topk_module
 from gapdp.audit import AuditConfig, as_audit_output, estimate_epsilon
-from gapdp.expmech import UtilityTable
+from gapdp.expmech import UtilityTable, exp_mech_gumbel_batch
 from gapdp.harness import standard_audit_cases
+from gapdp.hybrid import hybrid_estimates_batch, hybrid_identity_batch
 from gapdp.noise import (
     Exponential,
     FamilyNoise,
@@ -42,7 +45,8 @@ from gapdp.noise import (
     sample_logistic_nonneg_array,
 )
 from gapdp.queries import QuerySet, adjacent_counts
-from gapdp.svt import _FIRST_WINDOW, SvtConfig, adaptive_svt, gap_svt, svt_batch
+from gapdp.svt import SvtConfig, adaptive_svt, gap_svt, svt_batch
+from gapdp.topk import _PARTITION_COLUMNS, gap_topk_batch
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
@@ -278,8 +282,8 @@ def test_public_call_is_kernel_row(name):
 
 
 def stopping_at(stop, n=3000):
-    """3000 queries of 0 but one of 1000 at ``stop``: against a threshold of
-    200, a scan at k = 1 reports that one and stops there."""
+    """``n`` queries of 0 but one of 1000 at ``stop``: against a threshold
+    of 200, a scan at k = 1 reports that one and stops there."""
     values = np.zeros(n)
     values[stop] = 1000.0
     return QuerySet(tuple(values))
@@ -289,9 +293,10 @@ def stopping_at(stop, n=3000):
 def test_consecutive_releases_read_the_stream_as_the_scalar_scan(name):
     # Releases on one shared source read it as back-to-back draw-by-draw
     # scans do, and leave it where they leave it: short scans, scans over
-    # 3000 queries far below the threshold that stop in a later look-ahead
-    # window or run out of queries, and scans that stop on the last query of
-    # the first window or on either of the first two of the second.
+    # 3000 queries far below the threshold that stop late or run out of
+    # queries, scans that stop on a query around _PARTITION_COLUMNS or on
+    # the last one, and scans over rows just narrower than the pruning
+    # cutoff and at it that stop on their last query.
     rng = np.random.default_rng(23)
     mech = adaptive_svt if name.startswith("adaptive") else gap_svt
 
@@ -299,8 +304,10 @@ def test_consecutive_releases_read_the_stream_as_the_scalar_scan(name):
         for n, threshold in ((1, 0.0), (3, 1.0), (300, 20.0), (3000, 60.0), (3000, 80.0)):
             data = QuerySet(tuple(rng.integers(0, 26, n).astype(float)))
             yield data, svt_config(name, k=3, threshold=threshold, theta=0.4)
-        for stop in (_FIRST_WINDOW - 1, _FIRST_WINDOW, _FIRST_WINDOW + 1):
+        for stop in (_PARTITION_COLUMNS - 1, _PARTITION_COLUMNS, _PARTITION_COLUMNS + 1, 2999):
             yield stopping_at(stop), svt_config(name, threshold=200.0, theta=0.4)
+        for n in (_PARTITION_COLUMNS - 1, _PARTITION_COLUMNS):
+            yield stopping_at(n - 1, n), svt_config(name, threshold=200.0, theta=0.4)
 
     for data, cfg in cases():
         seed = int(rng.integers(2**32))
@@ -319,18 +326,22 @@ def test_consecutive_releases_read_the_stream_as_the_scalar_scan(name):
 
 
 @pytest.mark.parametrize("name", SVT_CASES)
-def test_replay_ending_in_the_second_window_raises_where_the_scalar_scan_does(name):
-    # The scan stops on query _FIRST_WINDOW + 5.  Streams that end just
-    # before, inside and after its draws, and inside the draws of the
-    # query before it, raise where the draw-by-draw scan runs dry; the
-    # others give its release and leave the same draws unread.
+@pytest.mark.parametrize("n, stop", [(3000, _PARTITION_COLUMNS + 5),
+                                     (_PARTITION_COLUMNS - 1, _PARTITION_COLUMNS - 6)])
+def test_replay_ending_near_the_stop_raises_where_the_scalar_scan_does(name, n, stop):
+    # The scan stops on query ``stop``, of a row as wide as the pruning
+    # cutoff or wider, or of one just narrower.  Streams that end five
+    # queries before it, just before, inside and after its draws, and
+    # inside the draws of the query before it, raise where the draw-by-draw
+    # scan runs dry; the others give its release and leave the same draws
+    # unread.
     cfg = svt_config(name, threshold=200.0, theta=0.4)
     mech = adaptive_svt if cfg.adaptive else gap_svt
-    step, stop = 1 + cfg.adaptive, _FIRST_WINDOW + 5
-    data = stopping_at(stop)
+    step = 1 + cfg.adaptive
+    data = stopping_at(stop, n)
     stream = np.random.default_rng(29).random(1 + step * (stop + 3)).tolist()
     full = 1 + step * (stop + 1)  # the draws the scan reads
-    for length in (1 + step * _FIRST_WINDOW, full - step - 1, full - 1, full, full + 1):
+    for length in (1 + step * (stop - 5), full - step - 1, full - 1, full, full + 1):
         replay, scalar = ReplaySource(stream[:length]), ReplaySource(stream[:length])
         try:
             tags, _, consumed, _ = svt_scan(cfg, data.values, scalar.uniform)
@@ -342,6 +353,142 @@ def test_replay_ending_in_the_second_window_raises_where_the_scalar_scan_does(na
         assert result.codes == tags and len(tags) == stop + 1
         assert result.trail == (cfg.eps0, (0.0, cfg.eps1, cfg.eps2)[tags[-1]])
         assert result.consumed == consumed and replay.remaining == scalar.remaining
+
+
+# Pruned wide rows.  A kernel row of _PARTITION_COLUMNS queries or more
+# computes noise only for the queries that can still be selected or pass
+# the sparse-vector test; it must give exactly what the dense expression
+# over every column gives (ranked(values + kind.inverse_cdf_array(U),
+# count), or the dense scan), bit for bit.
+
+WIDTHS = (_PARTITION_COLUMNS - 1, _PARTITION_COLUMNS, 10_000)
+
+
+def wide_kernels(data, k):
+    """The six kernels that prune wide rows, the SVT scans in each family,
+    with thresholds among the data's 2k largest values."""
+    threshold = float(np.sort(data.value_array)[-min(2 * k, len(data.values))])
+
+    def scan(**changes):
+        return svt_batch(data, SvtConfig(EPS, k, threshold, 0.3, **changes))
+
+    return {
+        "gap_topk_laplace": gap_topk_batch(data, k, EPS),
+        "gap_topk_exponential": gap_topk_batch(data, k, EPS, "exponential"),
+        "hybrid_identity": hybrid_identity_batch(data, threshold, k, EPS),
+        "hybrid_estimates": hybrid_estimates_batch(data, threshold, k, EPS, 0.5),
+        "exp_mech_gumbel": exp_mech_gumbel_batch(UtilityTable(data.values, 1.0, EPS)),
+        "gap_svt": scan(),
+        "adaptive_svt_laplace": scan(adaptive=True),
+        "adaptive_svt_exponential": scan(adaptive=True, noise="exponential"),
+        "adaptive_svt_geometric": scan(adaptive=True, noise="geometric", monotonic=True),
+    }
+
+
+def query_draws(draws, n, queries):
+    """The columns of a kernel row of ``draws`` over n queries that hold
+    the draws of ``queries``: a threshold draw comes first, if any, and an
+    adaptive scan's two per query sit side by side."""
+    step = max((draws - 1) // n, 1)
+    first = draws - step * n
+    return (first + step * np.asarray(queries)[:, None] + np.arange(step)).ravel()
+
+
+def edge_rows(data, draws, rng):
+    """Rows holding draws of 0.0, 2**-54 and the largest double below 1:
+    scattered; on the largest values' draws (a level of -inf, or the
+    largest noise at the largest values); everywhere (a ceiling of -inf or
+    the largest); and first, where the threshold draw sits."""
+    largest = query_draws(draws, len(data.values),
+                          np.argsort(-data.value_array, kind="stable")[:30])
+    U = rng.random((6, draws))
+    U[0, rng.choice(draws, 40, replace=False)] = TOP
+    U[0, rng.choice(draws, 40, replace=False)] = 2.0**-54
+    U[1, largest] = 0.0
+    U[2, largest] = TOP
+    U[3] = 0.0
+    U[4, 0] = 0.0
+    U[5] = TOP
+    return U
+
+
+def tied_rows(draws, rng):
+    """Draws of 0.5, which give every query the same noise, but for a few
+    random ones: noisy values tie wherever the values do."""
+    U = np.full((3, draws), 0.5)
+    U[rng.random(U.shape) < 0.05] = rng.random()
+    return U
+
+
+def wide_cases(width, rng):
+    """(data, k, rows) per input: Zipf counts in random order, all equal
+    values (every column can still rank), three tied values (ties at the
+    cut), values near +-1e15, whose ulp of 0.125 swallows small noise
+    differences, and k + 1 = n.  Integer values serve geometric noise."""
+    zipf = QuerySet(tuple(rng.permutation(np.floor(5000.0 / np.arange(1.0, width + 1)))))
+    random_rows = lambda draws: np.vstack([rng.random((1, draws)), rng.random((3, draws))])
+    yield zipf, 10, random_rows
+    yield zipf, 10, lambda draws: edge_rows(zipf, draws, rng)
+    yield QuerySet((1.0,) * width), 10, random_rows
+    ties = QuerySet(tuple(rng.integers(0, 3, width).astype(float)))
+    yield ties, 10, lambda draws: tied_rows(draws, rng)
+    yield ties, 10, random_rows
+    for sign in (1.0, -1.0):
+        near = QuerySet(tuple(sign * 1e15 + rng.integers(0, 40, width).astype(float)))
+        yield near, 10, random_rows
+    yield zipf, width - 1, random_rows
+
+
+def dense(kernel, *args):
+    """``kernel``'s output on every row with the width cutoff out of reach,
+    so that every row takes the dense path."""
+    with pytest.MonkeyPatch.context() as patch:
+        for module in (topk_module, svt_module):
+            patch.setattr(module, "_PARTITION_COLUMNS", 2**62)
+        return kernel(*args)
+
+
+@pytest.mark.parametrize("width", WIDTHS)
+def test_pruned_wide_rows_equal_the_dense_expression(width):
+    rng = np.random.default_rng(width)
+    for data, k, rows in wide_cases(width, rng):
+        for name, (draws, kernel, reach) in wide_kernels(data, k).items():
+            U = rows(draws)
+            calls = [(U,)]
+            if reach:  # the harness's one threshold per row
+                calls.append((U, rng.choice(data.value_array, len(U))))
+            for args in calls:
+                for got, want in zip(kernel(*args), dense(kernel, *args)):
+                    assert got.dtype == want.dtype and got.shape == want.shape, (name, k)
+                    assert np.array_equal(got, want, equal_nan=True), (name, k)
+
+
+def test_wide_rows_compute_noise_for_few_columns(monkeypatch):
+    # On Zipf counts over 10^4 queries, a random row ranks a few dozen
+    # columns and a scan tags a few dozen queries, in the median.  The
+    # noise of the row's largest draw has a long tail, and a row whose
+    # ceiling lifts every value to the level keeps every column.
+    widths, rank, tag = [], topk_module.ranked, svt_module._tag
+
+    def ranked(noisy, count):
+        widths.append(noisy.shape[1])
+        return rank(noisy, count)
+
+    def tagged(cfg, value, *noise):
+        widths.append(np.size(value))
+        return tag(cfg, value, *noise)
+
+    monkeypatch.setattr(topk_module, "ranked", ranked)
+    monkeypatch.setattr(svt_module, "_tag", tagged)
+    rng = np.random.default_rng(3)
+    data = QuerySet(tuple(rng.permutation(np.floor(1e5 / np.arange(1.0, 10_001)))))
+    for name, (draws, kernel, _) in wide_kernels(data, 10).items():
+        most = []
+        for row in rng.random((21, draws)):
+            widths.clear()
+            kernel(row[None])
+            most.append(max(widths))
+        assert np.median(most) <= (30 if "svt" not in name else 100), (name, most)
 
 
 @pytest.mark.parametrize("noise", ["laplace", "exponential", "geometric"])

@@ -186,6 +186,18 @@ class TestBlackboxMechanism:
                 table, SeededSource(seed), categorical_softmax_selector
             )
 
+    def test_release_right_after_a_look_ahead(self):
+        # The default path reads both draws as one matrix row: the release
+        # two uniform() calls give, and the same next draw after it.
+        table = _dataset_table()
+        for seed in range(20):
+            ahead, scalar = SeededSource(seed), SeededSource(seed)
+            ahead.peek(5000)
+            assert exp_mech_blackbox_gap(table, ahead) == exp_mech_blackbox_gap(
+                table, scalar, categorical_softmax_selector
+            )
+            assert ahead.uniform() == scalar.uniform()
+
     def test_selector_out_of_range_is_an_error(self):
         table = UtilityTable((0.0, 1.0, 2.0), 1.0, 1.0)
         for choice in (-1, 3):

@@ -19,6 +19,7 @@ from gapdp.noise import (
     SeededSource,
     _BLOCK,
     canonical_family,
+    ceiling,
     mean_of,
     sample,
     sample_logistic_nonneg,
@@ -230,6 +231,43 @@ def test_replay_peek_returns_what_is_left():
     with pytest.raises(ReplayExhaustedError):
         src.advance(2)
     assert src.remaining == 0 and len(src.peek(1)) == 0
+
+
+@pytest.mark.parametrize("kind", [Laplace(0.7), Exponential(1.3), Geometric(0.4), Gumbel(0.2)])
+def test_ceiling_bounds_the_noise_of_every_smaller_draw(kind):
+    # Against the array form, on the draw itself, the doubles just below it
+    # and draws spread below it.  On the continuous families the slack puts
+    # the bound strictly above the draw's own noise wherever that is finite
+    # and not 0.
+    rng = np.random.default_rng(12)
+    top = 1.0 - 2.0**-53
+    for u in np.concatenate([[0.0, 2.0**-54, 0.5, top], rng.random(300)]):
+        below = [u]
+        for _ in range(8):
+            below.append(np.nextafter(below[-1], 0.0))
+        draws = np.concatenate([below, u * rng.random(100)]).clip(0.0)
+        bound = ceiling(kind, float(u))
+        noise = kind.inverse_cdf_array(draws)
+        assert (noise <= bound).all(), (kind, u)
+        own = noise[0]
+        if not isinstance(kind, Geometric) and math.isfinite(own) and own != 0.0:
+            assert bound > own, (kind, u)
+
+
+def test_replay_uniform_matrix_is_its_stored_draws():
+    values = np.random.default_rng(6).random(10_000).tolist()
+    src = ReplaySource(values)
+    assert src.uniform() == values[0]
+    U = src.uniform_matrix(99, 100)
+    assert U.shape == (99, 100) and U.ravel().tolist() == values[1:9901]
+    assert src.remaining == 99 and src.uniform() == values[9901]
+    # A short stream raises as a loop of uniform() calls does, and is left
+    # exhausted.
+    with pytest.raises(ReplayExhaustedError):
+        src.uniform_matrix(10, 10)
+    assert src.remaining == 0
+    with pytest.raises(ReplayExhaustedError):
+        src.uniform()
 
 
 def test_source_without_look_ahead_says_so():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import subprocess
 import sys
@@ -14,8 +15,8 @@ from gapdp import svt as svt_module
 from gapdp.audit import Release
 from gapdp.noise import ReplayExhaustedError, ReplaySource, SeededSource
 from gapdp.queries import QuerySet
+from gapdp.topk import _PARTITION_COLUMNS
 from gapdp.svt import (
-    _FIRST_WINDOW,
     SvtConfig,
     adaptive_svt,
     gap_svt,
@@ -159,29 +160,44 @@ def test_short_replay_raises_where_the_scan_runs_out(adaptive):
 
 
 @pytest.mark.parametrize("adaptive", [False, True])
-@pytest.mark.parametrize("windows", [2, 3])
-def test_a_release_scans_each_query_once(monkeypatch, adaptive, windows):
-    # Queries -i far below the threshold, but for one far above it where
-    # the scan stops, past the first _FIRST_WINDOW * 2**(windows - 2) queries.
-    # The tag rule must see each query once, in order: every query the scan
-    # read, then the rest of the last window unread.
-    stop = _FIRST_WINDOW * 2 ** (windows - 2) + 10
-    values = -np.arange(5000.0)
-    values[stop] = 1000.0
+@pytest.mark.parametrize("n", [_PARTITION_COLUMNS - 1, _PARTITION_COLUMNS, 5000])
+def test_the_tag_rule_sees_each_query_once_and_wide_scans_only_those_that_can_pass(
+        monkeypatch, adaptive, n):
+    # Distinct values, so each value the tag rule sees names its query: five
+    # near the threshold of 100 and the rest at -10^4 or below, which no
+    # draw lifts to it.  At k = 10 and eps = 1, query noise is at most 80
+    # (the top branch's scale) times 37 (Laplace(1) noise at the largest
+    # draw below 1), and the noisy threshold at least 100 - 2 * 37.  The
+    # five answers cost too little to stop the scan, so a release scans
+    # every query.
+    # The tag rule must see each query at most once, in index order: every
+    # query on a narrow row, only the five near ones on a row of
+    # _PARTITION_COLUMNS queries or more.
+    values = -1e4 - np.arange(n, dtype=float)
+    near = [3, 400, n // 2, n - 2, n - 1]
+    values[near] = 100.0 + np.arange(5.0)
+    index = {v: i for i, v in enumerate(values.tolist())}
     seen, tag = [], svt_module._tag
 
     def counted(cfg, value, *noise):
-        seen.append(np.ravel(value).tolist())
+        seen.extend(index[v] for v in np.ravel(value).tolist())
         return tag(cfg, value, *noise)
 
     monkeypatch.setattr(svt_module, "_tag", counted)
-    cfg = SvtConfig(epsilon=1.0, k=1, threshold=100.0, theta=0.5, adaptive=adaptive)
-    result = (adaptive_svt if adaptive else gap_svt)(QuerySet(tuple(values)), cfg, SeededSource(5))
-    scanned = len(result.codes)
-    assert scanned == stop + 1 and len(seen) == windows
-    queries = [stop if v == 1000.0 else -int(v) for window in seen for v in window]
-    assert queries == list(range(len(queries)))
-    assert len(queries) - len(seen[-1]) < scanned <= len(queries)
+    cfg = SvtConfig(epsilon=1.0, k=10, threshold=100.0, theta=0.5, adaptive=adaptive)
+    data = QuerySet(tuple(values))
+    for seed in range(5):
+        seen.clear()
+        result = (adaptive_svt if adaptive else gap_svt)(data, cfg, SeededSource(seed))
+        assert len(result.codes) == n
+        assert all(result.codes[i] == 0 for i in range(n) if i not in near)
+        assert seen == (near if n >= _PARTITION_COLUMNS else list(range(n)))
+
+
+def test_configs_that_differ_only_in_threshold_share_their_scan_constants():
+    cfg = SvtConfig(epsilon=0.7, k=10, threshold=1.0, theta=0.3, monotonic=True)
+    assert dataclasses.replace(cfg, threshold=2.0)._scan_constants is cfg._scan_constants
+    assert dataclasses.replace(cfg, theta=0.4)._scan_constants is not cfg._scan_constants
 
 
 def test_scans_keep_their_own_comparison_on_infinite_draws():

@@ -241,7 +241,8 @@ def adaptive_svt(q: QuerySet, cfg: SvtConfig, src: RandomSource) -> SvtResult:
 def svt_batch(q: QuerySet, cfg: SvtConfig):
     """The kernel of :func:`gap_svt` (or :func:`adaptive_svt` when
     ``cfg.adaptive``) on ``q``, which the audit and the experiment harness
-    run and the public calls release: returns ``(draws, kernel, reach)``.
+    run, and whose scan the public calls release one trial of: returns
+    ``(draws, kernel, reach)``.
 
     ``kernel(U, thresholds=None)`` takes a (trials, draws) uniform matrix
     laid out as a scan reads it (threshold, then per query its top draw if

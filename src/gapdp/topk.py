@@ -127,32 +127,38 @@ def noisy_ranked(values: np.ndarray, by_value: tuple[np.ndarray, list[float]], k
 
     ``by_value`` is :func:`gapdp.queries.descending` of ``values[head:]``.
     A row of ``_PARTITION_COLUMNS`` columns or more computes noise only for
-    the columns that can still rank.  The ``count`` largest values, with
-    their noise, give a level that at least ``count`` noisy values reach.
-    A column whose ``noisy`` value, with its noise replaced by the
-    :func:`gapdp.noise.ceiling` of the row's largest draw, is below that
-    level cannot rank: the same float expression, rounded monotonically,
-    bounds its noisy value.  Those bounds fall with the value, so the
-    columns that can rank are the largest values, found by bisection.  They
-    and the first ``head`` columns are ranked in index order, so ties break
-    as over the whole row.  A level of -inf (a draw of 0) or a ceiling that
-    is not finite keeps every column.
+    the columns that can still rank.  The seed columns, the first ``head``
+    and those of the ``count`` largest values, get their noise first; the
+    ``count``-th largest of their noisy values is a level that ``count``
+    noisy values reach.  A column whose ``noisy`` value, with its noise
+    replaced by the :func:`gapdp.noise.ceiling` of the row's largest draw,
+    is below that level cannot rank: the same float expression, rounded
+    monotonically, bounds its noisy value.  Those bounds fall with the
+    value, so the columns that can rank are the largest values, found by
+    bisection; often they are the seed alone.  They and the first ``head``
+    columns are ranked in index order, so ties break as over the whole row.
+    A level of -inf (a draw of 0) or a ceiling that is not finite keeps
+    every column.
     """
     order, ordered = by_value
     if U.shape[1] < _PARTITION_COLUMNS or len(order) <= count:
         return ranked(noisy(values, kind.inverse_cdf_array(U)), count)
-    seed, heads = order[:count] + head, np.arange(head)
+    seed = np.concatenate((np.arange(head), np.sort(order[:count]) + head))
+    seed_values = values[seed]
     picked = np.empty((len(U), count), dtype=np.int64)
     picked_values = np.empty((len(U), count))
     for r, u in enumerate(U):
-        level = min(noisy(values[seed], kind.inverse_cdf_array(u[seed])).tolist())
+        noisy_seed = noisy(seed_values, kind.inverse_cdf_array(u[seed]))
+        level = sorted(noisy_seed.tolist())[head]
         top = ceiling(kind, float(u.max()))
+        reach = len(order)
         if math.isfinite(level) and math.isfinite(top):
             reach = leading(ordered, lambda v: noisy(v, top) >= level)
-            cols = np.concatenate((heads, np.sort(order[:reach]) + head))
+        if reach <= count:
+            cols, noisy_cols = seed, noisy_seed
         else:
-            cols = np.arange(len(values))
-        noisy_cols = noisy(values[cols], kind.inverse_cdf_array(u[cols]))
+            cols = np.concatenate((seed[:head], np.sort(order[:reach]) + head))
+            noisy_cols = noisy(values[cols], kind.inverse_cdf_array(u[cols]))
         row_order, row_values = ranked(noisy_cols[None], count)
         picked[r], picked_values[r] = cols[row_order[0]], row_values[0]
     return picked, picked_values

@@ -19,6 +19,7 @@ import dataclasses
 import heapq
 import itertools
 import math
+import operator
 from types import SimpleNamespace
 
 import numpy as np
@@ -46,7 +47,8 @@ from gapdp.noise import (
 )
 from gapdp.queries import QuerySet, adjacent_counts
 from gapdp.svt import SvtConfig, adaptive_svt, gap_svt, svt_batch
-from gapdp.topk import _PARTITION_COLUMNS, gap_topk_batch
+from gapdp.queries import descending
+from gapdp.topk import _PARTITION_COLUMNS, gap_topk_batch, noisy_ranked, ranked
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
@@ -327,7 +329,8 @@ def test_consecutive_releases_read_the_stream_as_the_scalar_scan(name):
 
 @pytest.mark.parametrize("name", SVT_CASES)
 @pytest.mark.parametrize("n, stop", [(3000, _PARTITION_COLUMNS + 5),
-                                     (_PARTITION_COLUMNS - 1, _PARTITION_COLUMNS - 6)])
+                                     (_PARTITION_COLUMNS - 1, _PARTITION_COLUMNS - 6)],
+                         ids=["wide", "narrow"])
 def test_replay_ending_near_the_stop_raises_where_the_scalar_scan_does(name, n, stop):
     # The scan stops on query ``stop``, of a row as wide as the pruning
     # cutoff or wider, or of one just narrower.  Streams that end five
@@ -461,6 +464,62 @@ def test_pruned_wide_rows_equal_the_dense_expression(width):
                 for got, want in zip(kernel(*args), dense(kernel, *args)):
                     assert got.dtype == want.dtype and got.shape == want.shape, (name, k)
                     assert np.array_equal(got, want, equal_nan=True), (name, k)
+
+
+def lifted(kind, d):
+    """The draw whose noise exceeds the noise of 0.5 by ``d`` + 0.03, by
+    bisection: near 1e15, where a double's ulp is 0.125, a value d below
+    another with it and 0.5 with the other give equal noisy values."""
+    lo, hi = 0.5, TOP
+    for _ in range(100):
+        mid = (lo + hi) / 2.0
+        if kind.inverse_cdf(mid) - kind.inverse_cdf(0.5) < d + 0.03:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
+@pytest.mark.parametrize("kind", [Laplace(20.0), Exponential(20.0), Gumbel(0.0)],
+                         ids=["laplace", "exponential", "gumbel"])
+@pytest.mark.parametrize("head", [0, 1])
+@pytest.mark.parametrize("shift", [0.0, 7.5])
+def test_pruning_keeps_the_columns_whose_bound_ties_the_level(kind, head, shift):
+    # Values near 1e15: every column but the seed (the 11 largest values,
+    # 10..20 above 1e15) draws the row's largest draw, so its bound is its
+    # noisy value once the ulp of 0.125 swallows the ceiling's slack.  A
+    # rival 3 below the lowest seed, at a lower index, ties the level and
+    # wins the tie (in every other row; the rows without one rank the seed
+    # alone); the seed of 15, at a lower index than the seed of 16, draws 1
+    # more noise and ties it.  Pruned rows must rank as the dense expression
+    # does, and the ties must be real.
+    rng = np.random.default_rng(head)
+    n, count = 10_000, 11
+    noisy = (lambda v, z: v + z - shift) if shift else operator.add
+    rival_wins = seed_ties = 0
+    for r in range(8):
+        seeds = np.sort(rng.choice(n, count, replace=False)) + head
+        base = 10.0 + rng.permutation(count)
+        s15, s16 = np.flatnonzero(base == 15.0)[0], np.flatnonzero(base == 16.0)[0]
+        if s15 > s16:
+            base[s15], base[s16] = 16.0, 15.0
+        low, high = seeds[base == 15.0][0], seeds[base == 16.0][0]
+        candidates = np.setdiff1d(np.arange(head, seeds[base == 10.0][0]), seeds)
+        rival = int(rng.choice(candidates)) if r % 2 and len(candidates) else None
+        values = np.full(head + n, 1e15)
+        values[seeds] += base
+        row = np.full(head + n, lifted(kind, 3.0))
+        row[seeds] = 0.5
+        row[low] = lifted(kind, 1.0)
+        if rival is not None:
+            values[rival] += 7.0
+        got = noisy_ranked(values, descending(values[head:]), kind, row[None], count, noisy, head)
+        want = ranked(noisy(values, kind.inverse_cdf_array(row[None])), count)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        rival_wins += rival in want[0][0]
+        at = {int(i): x for i, x in zip(want[0][0], want[1][0])}
+        seed_ties += at.get(int(low)) == at.get(int(high)) is not None
+    assert rival_wins and seed_ties  # the ties happened
 
 
 def test_wide_rows_compute_noise_for_few_columns(monkeypatch):

@@ -161,8 +161,7 @@ def test_short_replay_raises_where_the_scan_runs_out(adaptive):
 
 @pytest.mark.parametrize("adaptive", [False, True])
 @pytest.mark.parametrize("n", [_PARTITION_COLUMNS - 1, _PARTITION_COLUMNS, 5000])
-def test_the_tag_rule_sees_each_query_once_and_wide_scans_only_those_that_can_pass(
-        monkeypatch, adaptive, n):
+def test_the_tag_rule_sees_each_query_once(monkeypatch, adaptive, n):
     # Distinct values, so each value the tag rule sees names its query: five
     # near the threshold of 100 and the rest at -10^4 or below, which no
     # draw lifts to it.  At k = 10 and eps = 1, query noise is at most 80

@@ -407,8 +407,8 @@ def _scanner(q: QuerySet, cfg: SvtConfig):
         m = (len(row) - 1) // step
         draws = row[1:1 + step * m].reshape(m, step)
         with np.errstate(divide="ignore", invalid="ignore"):
-            unit = float(thr_kind.from_unit(thr_kind.unit_array(row[:1]))[0])
-            noisy_threshold = threshold + unit - b0
+            noise = float(thr_kind.from_unit(thr_kind.unit_array(row[:1]))[0])
+            noisy_threshold = threshold + noise - b0
             if len(values) >= _PARTITION_COLUMNS and m:
                 cols = passing(draws, noisy_threshold)
             else:

@@ -45,9 +45,8 @@ from gapdp.noise import (
     sample_logistic_nonneg,
     sample_logistic_nonneg_array,
 )
-from gapdp.queries import QuerySet, adjacent_counts
+from gapdp.queries import QuerySet, adjacent_counts, descending
 from gapdp.svt import SvtConfig, adaptive_svt, gap_svt, svt_batch
-from gapdp.queries import descending
 from gapdp.topk import _PARTITION_COLUMNS, gap_topk_batch, noisy_ranked, ranked
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")

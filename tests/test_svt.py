@@ -168,10 +168,9 @@ def test_the_tag_rule_sees_each_query_once(monkeypatch, adaptive, n):
     # (the top branch's scale) times 37 (Laplace(1) noise at the largest
     # draw below 1), and the noisy threshold at least 100 - 2 * 37.  The
     # five answers cost too little to stop the scan, so a release scans
-    # every query.
-    # The tag rule must see each query at most once, in index order: every
-    # query on a narrow row, only the five near ones on a row of
-    # _PARTITION_COLUMNS queries or more.
+    # every query.  The tag rule must see each query at most once, in index
+    # order: every query on a narrow row, only the five near ones on a row
+    # of _PARTITION_COLUMNS queries or more.
     values = -1e4 - np.arange(n, dtype=float)
     near = [3, 400, n // 2, n - 2, n - 1]
     values[near] = 100.0 + np.arange(5.0)

@@ -491,10 +491,8 @@ def sample(kind: NoiseKind, src: RandomSource) -> float:
     return kind.inverse_cdf(src.uniform())
 
 
-#: A ceiling's unit draw moved by a relative 1e-9 both ways, which covers
-#: the last-ulp errors of numpy's ``log``/``log1p`` (about 1e-16, relative)
-#: many times over.
-_CEILING_SLACK = np.array([1.0 - 1e-9, 1.0 + 1e-9])
+#: How far, relatively, a ceiling moves its unit draw each way.
+_CEILING_SLACK = 1e-9
 
 
 def ceiling(kind: NoiseKind, u: float) -> float:
@@ -503,16 +501,25 @@ def ceiling(kind: NoiseKind, u: float) -> float:
 
     Every inverse CDF here is non-decreasing in its draw, so the noise of
     ``u`` bounds the noise of every smaller draw, up to rounding: numpy's
-    ``log`` and ``log1p`` are off by up to an ulp, and need not be monotone
-    between adjacent draws.  So the bound moves ``u``'s unit draw (see
+    ``log`` and ``log1p`` are off by a few ulps, differ between its SIMD
+    loops and a scalar call, and need not be monotone between adjacent
+    draws.  So the bound moves ``u``'s unit draw (see
     :meth:`Laplace.unit_array`) by a relative ``1e-9`` both ways and keeps
-    the larger noise: ``from_unit`` is monotone, increasing or decreasing
-    by family, and only the unit draw is rounded in a way that can break
-    the order.  A draw of 0 can give -inf, which bounds nothing finite.
+    the larger noise.  That slack covers the rounding of both steps.
+    ``unit_array``'s log is off by a relative 1e-15 at most, and moving the
+    unit draw by a relative 1e-9 moves the noise by a relative 1e-9 where
+    ``from_unit`` scales it (the geometric floor comes after the scaling).
+    Gumbel's ``from_unit`` takes a second log, of a unit draw's magnitude,
+    which a double keeps under 800: that log is off by under 1e-12, and the
+    slack moves it by 1e-9.  The ceiling of a draw of 0, which only a
+    :class:`ReplaySource` gives, is inf: it bounds everything and so
+    prunes nothing.
     """
-    with np.errstate(divide="ignore"):
-        z = kind.unit_array(np.array([u])) * _CEILING_SLACK
-    return max(kind.from_unit(z).tolist())
+    if not u > 0.0:
+        return math.inf
+    z = kind.unit_array(u)
+    return float(max(kind.from_unit(z * (1.0 - _CEILING_SLACK)),
+                     kind.from_unit(z * (1.0 + _CEILING_SLACK))))
 
 
 def variance_of(kind: NoiseKind) -> float:

@@ -252,9 +252,10 @@ def svt_batch(q: QuerySet, cfg: SvtConfig):
     query's column, NaN in the others) and ``used`` (int64, the draws the
     trial read).  ``thresholds``, one per row, replaces ``cfg.threshold``.
     A trial stops after the query whose charge takes the consumed budget
-    past ``epsilon - eps1``, and the rest of its row goes unread.  On
-    ``_PARTITION_COLUMNS`` queries or more each row is one pruned ``trial``
-    of :func:`_scanner`, as a release runs it.
+    past ``epsilon - eps1``, and the rest of its row goes unread.  The
+    kernel scans every query of every row; a release runs one row through
+    ``trial`` of :func:`_scanner`, which on wide rows tags only the queries
+    that can pass, and gives the same row.
 
     ``reach(stream)`` takes a 1-D uniform stream and returns, for every
     offset s with a whole window ``stream[s:s + draws]``, the ``used`` the
@@ -263,28 +264,17 @@ def svt_batch(q: QuerySet, cfg: SvtConfig):
     it first to find where back-to-back trials start, then runs the kernel
     on those rows only.
     """
-    scan, trial = _scanner(q, cfg)
+    scan, _ = _scanner(q, cfg)
     n, step = len(q.values), 2 if cfg.adaptive else 1
     draws = 1 + step * n
     thr_kind, b0, mid_kind, _, top_kind, _, _, charges = cfg._scan_constants
     eps0, limit = cfg.eps0, cfg.epsilon - cfg.eps1
 
     def kernel(U: np.ndarray, thresholds: Optional[np.ndarray] = None):
-        if n < _PARTITION_COLUMNS:
-            tags, gaps, within = scan(U, thresholds)
-            scanned = np.minimum(within.sum(axis=0) + 1, n)
-            codes = np.where(np.arange(n)[:, None] < scanned, tags, -1)
-            return codes.T, np.where(codes > 0, gaps, np.nan).T, 1 + step * scanned
-        codes = np.full((len(U), n), -1)
-        gaps = np.full((len(U), n), np.nan)
-        used = np.empty(len(U), dtype=np.int64)
-        for r, row in enumerate(U):
-            scanned, _, cols, tags, row_gaps = trial(
-                row, cfg.threshold if thresholds is None else thresholds[r])
-            codes[r, :scanned] = 0
-            codes[r, cols], gaps[r, cols] = tags, row_gaps
-            used[r] = 1 + step * scanned
-        return codes, gaps, used
+        tags, gaps, within = scan(U, thresholds)
+        scanned = np.minimum(within.sum(axis=0) + 1, n)
+        codes = np.where(np.arange(n)[:, None] < scanned, tags, -1)
+        return codes.T, np.where(codes > 0, gaps, np.nan).T, 1 + step * scanned
 
     def reach(stream: np.ndarray) -> np.ndarray:
         offsets = max(len(stream) - draws + 1, 0)
@@ -357,11 +347,13 @@ def _scanner(q: QuerySet, cfg: SvtConfig):
     value, so the queries that can pass are the largest values, found by
     bisection, and they are scanned in index order.  Queries that cannot
     pass are tagged 0 and add nothing to the consumed budget.  A noisy
-    threshold or a ceiling that is not finite tags every query.
+    threshold or a ceiling that is not finite tags every query, and so does
+    a config whose eps0 alone is past ``epsilon - eps1`` (at k = 1, theta
+    = 0.1 and epsilon = 1, once rounded): its scans stop on query 0.
     """
     _require_integer_queries(q, cfg)
     adaptive, eps0, limit = cfg.adaptive, cfg.eps0, cfg.epsilon - cfg.eps1
-    thr_kind, b0, mid_kind, _, top_kind, _, _, charges = cfg._scan_constants
+    thr_kind, b0, mid_kind, b1, top_kind, b2, margin, charges = cfg._scan_constants
     step = 2 if adaptive else 1
     values = q.value_array
 
@@ -399,17 +391,26 @@ def _scanner(q: QuerySet, cfg: SvtConfig):
             _, middle, _, top_hit = _compare(cfg, v, noisy_threshold, mid, top)
             return middle or top_hit
 
+        # Near the least value that passes: a guess, which leading checks.
+        guess = noisy_threshold - mid + b1
+        if adaptive:
+            guess = min(guess, noisy_threshold + margin - top + b2)
         order, ordered = q.by_value
-        cols = np.sort(order[:leading(ordered, passes)])
-        return cols[cols < len(draws)]
+        cols = np.sort(order[:leading(ordered, passes, guess)])
+        return cols[cols < len(draws)] if len(draws) < len(values) else cols
 
     def trial(row: np.ndarray, threshold: float = cfg.threshold):
         m = (len(row) - 1) // step
         draws = row[1:1 + step * m].reshape(m, step)
         with np.errstate(divide="ignore", invalid="ignore"):
-            noise = float(thr_kind.from_unit(thr_kind.unit_array(row[:1]))[0])
+            # numpy's ufuncs give a scalar what they give the same draw in
+            # an array, and the threshold noise is one draw.
+            noise = float(thr_kind.from_unit(thr_kind.unit_array(row[0])))
             noisy_threshold = threshold + noise - b0
-            if len(values) >= _PARTITION_COLUMNS and m:
+            # tally charges eps0 with the first query tagged.  Past the
+            # limit on its own, eps0 stops the scan on query 0, which the
+            # dense path alone is sure to tag.
+            if len(values) >= _PARTITION_COLUMNS and m and eps0 <= limit:
                 cols = passing(draws, noisy_threshold)
             else:
                 cols = np.arange(m)
@@ -419,7 +420,7 @@ def _scanner(q: QuerySet, cfg: SvtConfig):
         last = np.count_nonzero(within)  # the position of the query the scan stops on
         stopped = last < len(cols)
         scanned = int(cols[last]) + 1 if stopped else m
-        above = np.flatnonzero(tags[:last + 1])
+        above = tags[:last + 1].nonzero()[0]
         return scanned, stopped, cols[above], tags[above], gaps[above]
 
     return scan, trial

@@ -113,9 +113,15 @@ def ranked(noisy: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
     return order, noisy[rows, order]
 
 
-def leading(ordered: Sequence[float], holds: Callable[[float], bool]) -> int:
-    """How many leading entries of ``ordered`` satisfy ``holds``, which
-    must hold on a prefix of it: a bisection."""
+def leading(ordered: Sequence[float], holds: Callable[[float], bool], guess: float) -> int:
+    """How many leading entries of ``ordered``, a descending list, satisfy
+    ``holds``, which must hold on a prefix of it.  The entries at or above
+    ``guess``, a value near the last one that holds, are tried first: they
+    are the prefix if ``holds`` holds on the last of them and fails on the
+    next.  Else a bisection finds it."""
+    at = bisect.bisect_right(ordered, -guess, key=operator.neg)
+    if (at == 0 or holds(ordered[at - 1])) and (at == len(ordered) or not holds(ordered[at])):
+        return at
     return bisect.bisect_left(ordered, True, key=lambda v: not holds(v))
 
 
@@ -126,42 +132,39 @@ def noisy_ranked(values: np.ndarray, by_value: tuple[np.ndarray, list[float]], k
     count)`` gives, where ``noisy`` is non-decreasing in both arguments.
 
     ``by_value`` is :func:`gapdp.queries.descending` of ``values[head:]``.
-    A row of ``_PARTITION_COLUMNS`` columns or more computes noise only for
+    On ``_PARTITION_COLUMNS`` columns or more, noise is computed only for
     the columns that can still rank.  The seed columns, the first ``head``
-    and those of the ``count`` largest values, get their noise first; the
-    ``count``-th largest of their noisy values is a level that ``count``
-    noisy values reach.  A column whose ``noisy`` value, with its noise
-    replaced by the :func:`gapdp.noise.ceiling` of the row's largest draw,
-    is below that level cannot rank: the same float expression, rounded
-    monotonically, bounds its noisy value.  Those bounds fall with the
-    value, so the columns that can rank are the largest values, found by
-    bisection; often they are the seed alone.  They and the first ``head``
-    columns are ranked in index order, so ties break as over the whole row.
-    A level of -inf (a draw of 0) or a ceiling that is not finite keeps
-    every column.
+    and those of the ``2 * count`` largest values, are ranked first; in
+    every row, ``count`` noisy values reach the least of the rows'
+    ``count``-th largest noisy seed values, the level.  A column whose
+    ``noisy`` value, with its noise replaced by the
+    :func:`gapdp.noise.ceiling` of the largest draw in ``U``, is below the
+    level cannot rank: the same float expression, rounded monotonically,
+    bounds its noisy value.  Those bounds fall with the value, so the
+    columns that can rank are the largest values, found by bisection.  If
+    they are all in the seed, as they mostly are, the seed's ranking is the
+    row's; else they and the first ``head`` columns are ranked.  Columns
+    are ranked in index order, so ties break as over the whole row.  A level
+    of -inf (a draw of 0) or a ceiling that is not finite keeps every
+    column.
     """
     order, ordered = by_value
-    if U.shape[1] < _PARTITION_COLUMNS or len(order) <= count:
+    if U.shape[1] < _PARTITION_COLUMNS or len(order) <= count or not len(U):
         return ranked(noisy(values, kind.inverse_cdf_array(U)), count)
-    seed = np.concatenate((np.arange(head), np.sort(order[:count]) + head))
-    seed_values = values[seed]
-    picked = np.empty((len(U), count), dtype=np.int64)
-    picked_values = np.empty((len(U), count))
-    for r, u in enumerate(U):
-        noisy_seed = noisy(seed_values, kind.inverse_cdf_array(u[seed]))
-        level = sorted(noisy_seed.tolist())[head]
-        top = ceiling(kind, float(u.max()))
-        reach = len(order)
-        if math.isfinite(level) and math.isfinite(top):
-            reach = leading(ordered, lambda v: noisy(v, top) >= level)
-        if reach <= count:
-            cols, noisy_cols = seed, noisy_seed
-        else:
-            cols = np.concatenate((seed[:head], np.sort(order[:reach]) + head))
-            noisy_cols = noisy(values[cols], kind.inverse_cdf_array(u[cols]))
-        row_order, row_values = ranked(noisy_cols[None], count)
-        picked[r], picked_values[r] = cols[row_order[0]], row_values[0]
-    return picked, picked_values
+    seed = np.sort(order[:2 * count]) + head
+    if head:
+        seed = np.concatenate((np.arange(head), seed))
+    picked, picked_values = ranked(noisy(values[seed], kind.inverse_cdf_array(U[:, seed])), count)
+    level = float(picked_values[:, -1].min())
+    top = ceiling(kind, float(U.max()))
+    reach = len(order)
+    if math.isfinite(level) and math.isfinite(top):
+        reach = leading(ordered, lambda v: noisy(v, top) >= level, level - noisy(0.0, top))
+    if reach <= 2 * count:
+        return seed[picked], picked_values
+    cols = np.concatenate((seed[:head], np.sort(order[:reach]) + head))
+    picked, picked_values = ranked(noisy(values[cols], kind.inverse_cdf_array(U[:, cols])), count)
+    return cols[picked], picked_values
 
 
 def top_gaps(order: np.ndarray, top: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

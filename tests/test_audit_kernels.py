@@ -309,6 +309,11 @@ def test_consecutive_releases_read_the_stream_as_the_scalar_scan(name):
             yield stopping_at(stop), svt_config(name, threshold=200.0, theta=0.4)
         for n in (_PARTITION_COLUMNS - 1, _PARTITION_COLUMNS):
             yield stopping_at(n - 1, n), svt_config(name, threshold=200.0, theta=0.4)
+        # At k = 1 and theta = 0.1, eps0 alone is past epsilon - eps1 once
+        # rounded: every scan stops on query 0, whether or not it can pass.
+        for n, threshold in itertools.product((_PARTITION_COLUMNS, 10_000), (20.0, 80.0)):
+            data = QuerySet(tuple(rng.integers(0, 26, n).astype(float)))
+            yield data, svt_config(name, threshold=threshold, theta=0.1)
 
     for data, cfg in cases():
         seed = int(rng.integers(2**32))
@@ -366,25 +371,53 @@ def test_replay_ending_near_the_stop_raises_where_the_scalar_scan_does(name, n, 
 WIDTHS = (_PARTITION_COLUMNS - 1, _PARTITION_COLUMNS, 10_000)
 
 
-def wide_kernels(data, k):
-    """The six kernels that prune wide rows, the SVT scans in each family,
-    with thresholds among the data's 2k largest values."""
+def wide_kernels(data, k, theta=0.3):
+    """``(draws, kernel, reach, dense)`` of the six kernels that prune wide
+    rows, the SVT scans in each family, with thresholds among the data's 2k
+    largest values.  ``dense`` is the output over every column: the top-k
+    kernels' with the width cutoff out of reach, and the SVT kernels'
+    own; an SVT ``kernel`` runs each row as a release's pruned scan."""
     threshold = float(np.sort(data.value_array)[-min(2 * k, len(data.values))])
 
     def scan(**changes):
-        return svt_batch(data, SvtConfig(EPS, k, threshold, 0.3, **changes))
+        cfg = SvtConfig(EPS, k, threshold, theta, **changes)
+        draws, kernel, reach = svt_batch(data, cfg)
+        return draws, pruned_scan(data, cfg), reach, kernel
+
+    def top(batch):
+        draws, kernel, reach = batch
+        return draws, kernel, reach, lambda *args: dense(kernel, *args)
 
     return {
-        "gap_topk_laplace": gap_topk_batch(data, k, EPS),
-        "gap_topk_exponential": gap_topk_batch(data, k, EPS, "exponential"),
-        "hybrid_identity": hybrid_identity_batch(data, threshold, k, EPS),
-        "hybrid_estimates": hybrid_estimates_batch(data, threshold, k, EPS, 0.5),
-        "exp_mech_gumbel": exp_mech_gumbel_batch(UtilityTable(data.values, 1.0, EPS)),
+        "gap_topk_laplace": top(gap_topk_batch(data, k, EPS)),
+        "gap_topk_exponential": top(gap_topk_batch(data, k, EPS, "exponential")),
+        "hybrid_identity": top(hybrid_identity_batch(data, threshold, k, EPS)),
+        "hybrid_estimates": top(hybrid_estimates_batch(data, threshold, k, EPS, 0.5)),
+        "exp_mech_gumbel": top(exp_mech_gumbel_batch(UtilityTable(data.values, 1.0, EPS))),
         "gap_svt": scan(),
         "adaptive_svt_laplace": scan(adaptive=True),
         "adaptive_svt_exponential": scan(adaptive=True, noise="exponential"),
         "adaptive_svt_geometric": scan(adaptive=True, noise="geometric", monotonic=True),
     }
+
+
+def pruned_scan(data, cfg):
+    """:func:`svt_batch`'s kernel output, with each row scanned as a release
+    scans it: by the ``trial`` of ``svt._scanner``."""
+    trial, n, step = svt_module._scanner(data, cfg)[1], len(data.values), 1 + cfg.adaptive
+
+    def kernel(U, thresholds=None):
+        codes, gaps = np.full((len(U), n), -1), np.full((len(U), n), np.nan)
+        used = np.empty(len(U), dtype=np.int64)
+        for r, row in enumerate(U):
+            scanned, _, cols, tags, row_gaps = trial(
+                row, cfg.threshold if thresholds is None else thresholds[r])
+            codes[r, :scanned] = 0
+            codes[r, cols], gaps[r, cols] = tags, row_gaps
+            used[r] = 1 + step * scanned
+        return codes, gaps, used
+
+    return kernel
 
 
 def query_draws(draws, n, queries):
@@ -423,44 +456,46 @@ def tied_rows(draws, rng):
 
 
 def wide_cases(width, rng):
-    """(data, k, rows) per input: Zipf counts in random order, all equal
-    values (every column can still rank), three tied values (ties at the
-    cut), values near +-1e15, whose ulp of 0.125 swallows small noise
-    differences, and k + 1 = n.  Integer values serve geometric noise."""
+    """(data, k, theta, rows) per input: Zipf counts in random order, all
+    equal values (every column can still rank), three tied values (ties at
+    the cut), values near +-1e15, whose ulp of 0.125 swallows small noise
+    differences, k + 1 = n, and k = 1 at theta = 0.1, where eps0 alone is
+    past epsilon - eps1 once rounded and a scan stops on query 0.  Integer
+    values serve geometric noise."""
     zipf = QuerySet(tuple(rng.permutation(np.floor(5000.0 / np.arange(1.0, width + 1)))))
     random_rows = lambda draws: np.vstack([rng.random((1, draws)), rng.random((3, draws))])
-    yield zipf, 10, random_rows
-    yield zipf, 10, lambda draws: edge_rows(zipf, draws, rng)
-    yield QuerySet((1.0,) * width), 10, random_rows
+    yield zipf, 10, 0.3, random_rows
+    yield zipf, 10, 0.3, lambda draws: edge_rows(zipf, draws, rng)
+    yield QuerySet((1.0,) * width), 10, 0.3, random_rows
     ties = QuerySet(tuple(rng.integers(0, 3, width).astype(float)))
-    yield ties, 10, lambda draws: tied_rows(draws, rng)
-    yield ties, 10, random_rows
+    yield ties, 10, 0.3, lambda draws: tied_rows(draws, rng)
+    yield ties, 10, 0.3, random_rows
     for sign in (1.0, -1.0):
         near = QuerySet(tuple(sign * 1e15 + rng.integers(0, 40, width).astype(float)))
-        yield near, 10, random_rows
-    yield zipf, width - 1, random_rows
+        yield near, 10, 0.3, random_rows
+    yield zipf, width - 1, 0.3, random_rows
+    yield zipf, 1, 0.1, random_rows
 
 
 def dense(kernel, *args):
     """``kernel``'s output on every row with the width cutoff out of reach,
     so that every row takes the dense path."""
     with pytest.MonkeyPatch.context() as patch:
-        for module in (topk_module, svt_module):
-            patch.setattr(module, "_PARTITION_COLUMNS", 2**62)
+        patch.setattr(topk_module, "_PARTITION_COLUMNS", 2**62)
         return kernel(*args)
 
 
 @pytest.mark.parametrize("width", WIDTHS)
 def test_pruned_wide_rows_equal_the_dense_expression(width):
     rng = np.random.default_rng(width)
-    for data, k, rows in wide_cases(width, rng):
-        for name, (draws, kernel, reach) in wide_kernels(data, k).items():
+    for data, k, theta, rows in wide_cases(width, rng):
+        for name, (draws, kernel, reach, whole) in wide_kernels(data, k, theta).items():
             U = rows(draws)
             calls = [(U,)]
             if reach:  # the harness's one threshold per row
                 calls.append((U, rng.choice(data.value_array, len(U))))
             for args in calls:
-                for got, want in zip(kernel(*args), dense(kernel, *args)):
+                for got, want in zip(kernel(*args), whole(*args)):
                     assert got.dtype == want.dtype and got.shape == want.shape, (name, k)
                     assert np.array_equal(got, want, equal_nan=True), (name, k)
 
@@ -484,10 +519,12 @@ def lifted(kind, d):
 @pytest.mark.parametrize("head", [0, 1])
 @pytest.mark.parametrize("shift", [0.0, 7.5])
 def test_pruning_keeps_the_columns_whose_bound_ties_the_level(kind, head, shift):
-    # Values near 1e15: every column but the seed (the 11 largest values,
-    # 10..20 above 1e15) draws the row's largest draw, so its bound is its
+    # Values near 1e15.  The seed is the 22 largest values: 11 at 10..20
+    # above 1e15, and 11 at 8..9.25 that draw 2**-54, whose noisy values
+    # fall far below the level, the lowest of the other 11.  Every column
+    # outside the seed draws the row's largest draw, so its bound is its
     # noisy value once the ulp of 0.125 swallows the ceiling's slack.  A
-    # rival 3 below the lowest seed, at a lower index, ties the level and
+    # rival at 7, at a lower index than the seed of 10, ties the level and
     # wins the tie (in every other row; the rows without one rank the seed
     # alone); the seed of 15, at a lower index than the seed of 16, draws 1
     # more noise and ties it.  Pruned rows must rank as the dense expression
@@ -497,18 +534,21 @@ def test_pruning_keeps_the_columns_whose_bound_ties_the_level(kind, head, shift)
     noisy = (lambda v, z: v + z - shift) if shift else operator.add
     rival_wins = seed_ties = 0
     for r in range(8):
-        seeds = np.sort(rng.choice(n, count, replace=False)) + head
+        seeds = rng.choice(n, 2 * count, replace=False) + head
+        tops, lows = np.sort(seeds[:count]), seeds[count:]
         base = 10.0 + rng.permutation(count)
         s15, s16 = np.flatnonzero(base == 15.0)[0], np.flatnonzero(base == 16.0)[0]
         if s15 > s16:
             base[s15], base[s16] = 16.0, 15.0
-        low, high = seeds[base == 15.0][0], seeds[base == 16.0][0]
-        candidates = np.setdiff1d(np.arange(head, seeds[base == 10.0][0]), seeds)
+        low, high = tops[base == 15.0][0], tops[base == 16.0][0]
+        candidates = np.setdiff1d(np.arange(head, tops[base == 10.0][0]), seeds)
         rival = int(rng.choice(candidates)) if r % 2 and len(candidates) else None
         values = np.full(head + n, 1e15)
-        values[seeds] += base
+        values[tops] += base
+        values[lows] += 8.0 + 0.125 * np.arange(count)
         row = np.full(head + n, lifted(kind, 3.0))
-        row[seeds] = 0.5
+        row[tops] = 0.5
+        row[lows] = 2.0**-54
         row[low] = lifted(kind, 1.0)
         if rival is not None:
             values[rival] += 7.0
@@ -540,7 +580,7 @@ def test_wide_rows_compute_noise_for_few_columns(monkeypatch):
     monkeypatch.setattr(svt_module, "_tag", tagged)
     rng = np.random.default_rng(3)
     data = QuerySet(tuple(rng.permutation(np.floor(1e5 / np.arange(1.0, 10_001)))))
-    for name, (draws, kernel, _) in wide_kernels(data, 10).items():
+    for name, (draws, kernel, _, _) in wide_kernels(data, 10).items():
         most = []
         for row in rng.random((21, draws)):
             widths.clear()

@@ -6,7 +6,7 @@ import pytest
 from gapdp.noise import Exponential, Laplace, ReplaySource, SeededSource, sample
 from gapdp.queries import QuerySet
 from gapdp import topk
-from gapdp.topk import gap_topk, gap_topk_batch, pairwise_gap, ranked
+from gapdp.topk import gap_topk, gap_topk_batch, leading, pairwise_gap, ranked
 
 from conftest import kernel_runs
 
@@ -198,3 +198,20 @@ def test_determinism():
 def test_rejects_unknown_noise():
     with pytest.raises(ValueError):
         gap_topk(QuerySet((1.0, 2.0, 3.0)), 1, 1.0, "gumbel", zero_source(3))
+
+
+def test_leading_counts_the_prefix_whatever_the_guess():
+    # Descending lists with runs of equal values; a guess on the cut tests
+    # the entries on either side of it only, and any other guess still
+    # gives the count.
+    rng = np.random.default_rng(8)
+    for n in (0, 1, 2, 50):
+        ordered = sorted(rng.integers(0, 10, n).astype(float).tolist(), reverse=True)
+        for cut in np.arange(-1.0, 11.0, 0.5).tolist():
+            want = sum(v >= cut for v in ordered)
+            for guess in (-5.0, cut - 1.0, cut, cut + 0.5, 20.0, *ordered[:3]):
+                tested = []
+                holds = lambda v: tested.append(v) or v >= cut
+                assert leading(ordered, holds, guess) == want, (ordered, cut, guess)
+                if guess == cut:
+                    assert len(tested) <= 2

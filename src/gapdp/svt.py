@@ -379,13 +379,14 @@ def _scanner(q: QuerySet, cfg: SvtConfig):
             noisy_threshold = threshold + thr_kind.from_unit(z[0]) - b0
             return tally(values[:(len(z) - 1) // step, None], noisy_threshold, z[1:])
 
-    def passing(draws: np.ndarray, noisy_threshold: float) -> np.ndarray:
-        # The queries, among the first len(draws), that can pass the test.
+    def passing(draws: np.ndarray, noisy_threshold: float) -> Optional[np.ndarray]:
+        # The queries, among the first len(draws), that can pass the test,
+        # or None where that is every query.
         u = float(draws.max())
         mid = ceiling(mid_kind, u)
         top = ceiling(top_kind, u) if adaptive else mid
         if not (math.isfinite(noisy_threshold) and math.isfinite(mid) and math.isfinite(top)):
-            return np.arange(len(draws))
+            return None
 
         def passes(v):
             _, middle, _, top_hit = _compare(cfg, v, noisy_threshold, mid, top)
@@ -396,32 +397,37 @@ def _scanner(q: QuerySet, cfg: SvtConfig):
         if adaptive:
             guess = min(guess, noisy_threshold + margin - top + b2)
         order, ordered = q.by_value
-        cols = np.sort(order[:leading(ordered, passes, guess)])
+        reach = leading(ordered, passes, guess)
+        if reach == len(values):
+            return None
+        cols = np.sort(order[:reach])
         return cols[cols < len(draws)] if len(draws) < len(values) else cols
 
     def trial(row: np.ndarray, threshold: float = cfg.threshold):
         m = (len(row) - 1) // step
-        draws = row[1:1 + step * m].reshape(m, step)
+        draws, v, cols = row[1:1 + step * m].reshape(m, step), values[:m], None
         with np.errstate(divide="ignore", invalid="ignore"):
             # numpy's ufuncs give a scalar what they give the same draw in
             # an array, and the threshold noise is one draw.
             noise = float(thr_kind.from_unit(thr_kind.unit_array(row[0])))
             noisy_threshold = threshold + noise - b0
             # tally charges eps0 with the first query tagged.  Past the
-            # limit on its own, eps0 stops the scan on query 0, which the
-            # dense path alone is sure to tag.
+            # limit on its own, eps0 stops the scan on query 0, which only
+            # a scan of every query is sure to tag.
             if len(values) >= _PARTITION_COLUMNS and m and eps0 <= limit:
                 cols = passing(draws, noisy_threshold)
-            else:
-                cols = np.arange(m)
-            z = thr_kind.unit_array(draws[cols].ravel())
-            tags, gaps, within = tally(values[cols, None], noisy_threshold, z[:, None])
+            if cols is not None:
+                draws, v = draws[cols], values[cols]
+            z = thr_kind.unit_array(draws.ravel())
+            tags, gaps, within = tally(v[:, None], noisy_threshold, z[:, None])
         tags, gaps = tags[:, 0], gaps[:, 0]
         last = np.count_nonzero(within)  # the position of the query the scan stops on
-        stopped = last < len(cols)
-        scanned = int(cols[last]) + 1 if stopped else m
+        stopped = last < len(tags)
         above = tags[:last + 1].nonzero()[0]
-        return scanned, stopped, cols[above], tags[above], gaps[above]
+        tags, gaps = tags[above], gaps[above]
+        if cols is not None:  # positions among the candidates: their queries
+            last, above = int(cols[last]) if stopped else last, cols[above]
+        return last + 1 if stopped else m, stopped, above, tags, gaps
 
     return scan, trial
 

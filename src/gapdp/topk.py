@@ -143,10 +143,10 @@ def noisy_ranked(values: np.ndarray, by_value: tuple[np.ndarray, list[float]], k
     bounds its noisy value.  Those bounds fall with the value, so the
     columns that can rank are the largest values, found by bisection.  If
     they are all in the seed, as they mostly are, the seed's ranking is the
-    row's; else they and the first ``head`` columns are ranked.  Columns
-    are ranked in index order, so ties break as over the whole row.  A level
-    of -inf (a draw of 0) or a ceiling that is not finite keeps every
-    column.
+    row's; else they and the first ``head`` columns are ranked, or the
+    whole row where every column can rank.  Columns are ranked in index
+    order, so ties break as over the whole row.  A level of -inf (a draw
+    of 0) or a ceiling that is not finite keeps every column.
     """
     order, ordered = by_value
     if U.shape[1] < _PARTITION_COLUMNS or len(order) <= count or not len(U):
@@ -162,6 +162,8 @@ def noisy_ranked(values: np.ndarray, by_value: tuple[np.ndarray, list[float]], k
         reach = leading(ordered, lambda v: noisy(v, top) >= level, level - noisy(0.0, top))
     if reach <= 2 * count:
         return seed[picked], picked_values
+    if reach == len(order):
+        return ranked(noisy(values, kind.inverse_cdf_array(U)), count)
     cols = np.concatenate((seed[:head], np.sort(order[:reach]) + head))
     picked, picked_values = ranked(noisy(values[cols], kind.inverse_cdf_array(U[:, cols])), count)
     return cols[picked], picked_values

@@ -20,9 +20,9 @@ many trials at once.  A release cannot know beforehand how many draws its
 scan takes, so it reads the rest of its source ahead
 (:meth:`RandomSource.peek`) and scans it in one pass; the source gives up
 exactly the draws the scan read.  Over ``_PARTITION_COLUMNS`` queries or
-more, the scan tags only the queries whose value could pass the test with
-the noise of the row's largest draw, a few dozen of 10^4 on counting data,
-and the rest go below at no charge.  The result is a
+more, a release's scan tags only the queries whose value could pass the
+test with the noise of the row's largest draw, a few dozen of 10^4 on
+counting data, and the rest go below at no charge.  The result is a
 :class:`gapdp.audit.Release` of the scan's tags, released gaps and charges
 (eps0, then each report's charge in scan order); :class:`SvtItem` objects
 are built from it only when asked for.

@@ -17,24 +17,14 @@ Input d draws from the seed's ``audit-d`` stream and d' from its
 ``audit-d-prime`` stream (see :class:`gapdp.noise.SeededSource`).
 
 A mechanism callable may opt into a batch path by carrying a ``batch``
-attribute: ``mech.batch(data)`` returns ``(draws, kernel, reach)``.
-``draws`` is the most uniforms one trial reads, and ``kernel(U)`` maps a
+attribute: ``mech.batch(data)`` returns ``(draws, kernel)``.  ``draws`` is
+the fixed number of uniforms one trial reads, and ``kernel(U)`` maps a
 (trials, draws) uniform matrix to every trial's ``codes`` (int64, padded
 with -1) and ``gaps`` (float64, padded with NaN).  With padding dropped,
-row r must equal ``as_audit_output(mech(data, ReplaySource(U[r])))``.
-``reach`` is None when every trial reads all ``draws``: the auditor then
-hands the kernel the next rows of the stream.  A mechanism whose trials
-can stop early returns ``used`` from the kernel as a third array, the
-uniforms each row's trial read, and ``reach(stream)``, which gives that
-``used`` for every window ``stream[s:s + draws]`` of a 1-D stream without
-running the whole kernel.  For such a mechanism each chunk reads its
-stream ahead with :meth:`RandomSource.peek`, as the SVT release does.  The
-auditor chains the trials through ``reach``'s counts, each starting where
-the one before stopped reading, runs the kernel on those windows only, and
-consumes with :meth:`RandomSource.advance` the draws up to the end of the
-last trial.  Either way the batch path reads exactly the uniforms the
-scalar loop reads, leaves its source where the scalar loop leaves it and
-gives the same histogram for the same seed.
+row r must equal ``as_audit_output(mech(data, ReplaySource(U[r])))``.  The
+auditor hands the kernel the next rows of the stream, so the batch path
+reads exactly the uniforms the scalar loop reads, leaves its source where
+the scalar loop leaves it and gives the same histogram for the same seed.
 Trials run in chunks of a few thousand, each binned with one ``np.unique``.
 
 A callable without the attribute (or any wrapper around one, since
@@ -76,12 +66,6 @@ Mechanism = Callable[[QuerySet, RandomSource], object]
 # Trials per kernel call on the batch path.  It bounds the kernel's working
 # set at a few MB.
 _CHUNK = 4096
-# For a kernel that stops early, the trials a chunk's look-ahead holds if
-# each reads every draw.  They read fewer, so a chunk runs more trials than
-# this and the source advances only past the draws they read.  ``reach``
-# holds about a dozen arrays as long as the look-ahead: half of _CHUNK keeps
-# the peak working set near a fixed-draw chunk's.
-_STREAM_TRIALS = _CHUNK // 2
 
 # The fewest trials per input an audit runs, and the error for fewer.
 MIN_TRIALS = 10_000
@@ -201,26 +185,10 @@ def _histogram(
     if batch is None:
         return Counter(_key(mech(data, src), width) for _ in range(cfg.trials))
 
-    draws, kernel, reach = batch(data)
+    draws, kernel = batch(data)
     parts = []
-    done = 0
-    while done < cfg.trials:
-        if reach is None:
-            U = src.uniform_matrix(min(_CHUNK, cfg.trials - done), draws)
-        else:
-            # A look-ahead long enough for ``wanted`` trials, which takes
-            # every trial that starts in it: each starts where the one before
-            # it stopped reading, as in the scalar loop.  The kernel runs on
-            # the windows where trials start, and the source consumes only
-            # the draws up to the end of the last trial.
-            wanted = min(_STREAM_TRIALS, cfg.trials - done)
-            stream = src.peek(wanted * draws)
-            used = reach(stream)
-            starts = _chain(used, cfg.trials - done)
-            src.advance(starts[-1] + used[starts[-1]])
-            U = np.lib.stride_tricks.sliding_window_view(stream, draws)[starts]
-        codes, gaps = kernel(U)[:2]
-        done += len(U)
+    for done in range(0, cfg.trials, _CHUNK):
+        codes, gaps = kernel(src.uniform_matrix(min(_CHUNK, cfg.trials - done), draws))
         parts.append(_distinct(codes, np.floor(gaps / width)))
     counts: dict = {}
     codes, bins, number = _distinct(*(np.concatenate(p) for p in zip(*parts)))
@@ -231,23 +199,6 @@ def _histogram(
         )
         counts[key] = counts.get(key, 0) + int(n)
     return counts
-
-
-def _chain(used: np.ndarray, limit: int) -> np.ndarray:
-    """Offsets of up to ``limit`` back-to-back trials from offset 0, where a
-    trial at offset s reads ``used[s]`` draws and the next starts after them.
-
-    Pointer doubling: each pass appends the offsets one hop-table step on
-    from those already found, then squares the hop table, so the chain of t
-    trials takes log2(t) passes of numpy indexing.
-    """
-    n = len(used)
-    hop = np.append(np.minimum(np.arange(n) + used, n), n)  # n: past the last window
-    starts = np.zeros(1, dtype=np.intp)
-    while starts[-1] < n and len(starts) < limit:
-        starts = np.concatenate([starts, hop[starts]])
-        hop = hop[hop]
-    return starts[starts < n][:limit]
 
 
 def _distinct(codes: np.ndarray, bins: np.ndarray, number: Optional[np.ndarray] = None):

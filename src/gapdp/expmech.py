@@ -148,17 +148,16 @@ def exp_mech_gumbel(u: UtilityTable, src: RandomSource) -> ExpMechResult:
     noisy maximum is Gumbel-distributed with location logsumexp(x).  Runs
     :func:`exp_mech_gumbel_batch`'s kernel on the next n uniforms of ``src``.
     """
-    draws, kernel, _ = exp_mech_gumbel_batch(u)
+    draws, kernel = exp_mech_gumbel_batch(u)
     return ExpMechResult(*single_run(kernel, draws, src), u.epsilon, (u.epsilon,))
 
 
 def exp_mech_gumbel_batch(u: UtilityTable):
     """The kernel of :func:`exp_mech_gumbel`, which the audit runs directly.
 
-    Returns ``(n, kernel, None)``, no trial stopping early; ``kernel(U)``
-    maps a (trials, n) uniform matrix to every trial's winner
-    (int64, trials x 1) and gap (float64, trials x 1).  Of equal maxima the
-    first wins.
+    Returns ``(n, kernel)``; ``kernel(U)`` maps a (trials, n) uniform
+    matrix to every trial's winner (int64, trials x 1) and gap (float64,
+    trials x 1).  Of equal maxima the first wins.
     """
     scaled = u.scaled_array
     gumbel = Gumbel(0.0)
@@ -166,7 +165,7 @@ def exp_mech_gumbel_batch(u: UtilityTable):
     def kernel(U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return top_gaps(*noisy_ranked(scaled, u.by_value, gumbel, U, 2))
 
-    return len(scaled), kernel, None
+    return len(scaled), kernel
 
 
 def _softmax_weights(scaled: Sequence[float]) -> list[float]:
@@ -222,10 +221,9 @@ def exp_mech_blackbox_batch(u: UtilityTable):
     """Batch kernel of :func:`exp_mech_blackbox_gap` with the default
     selector, for the audit.
 
-    Returns ``(2, kernel, None)``, no trial stopping early; ``kernel(U)``
-    maps a (trials, 2) uniform matrix (selector draw, gap draw) to every
-    trial's winner (int64, trials x 1) and gap (float64, trials x 1).  It
-    reads the table the release reads, and searches its running weights as
+    Returns ``(2, kernel)``; ``kernel(U)`` maps a (trials, 2) uniform
+    matrix (selector draw, gap draw) to every trial's winner (int64, trials
+    x 1) and gap (float64, trials x 1).  It reads the table the release reads, and searches its running weights as
     the default selector does, so both pick the same outcome at the same
     location.
     """
@@ -237,4 +235,4 @@ def exp_mech_blackbox_batch(u: UtilityTable):
         s = np.minimum(np.searchsorted(running, U[:, 0] * total, side="right"), last)
         return s[:, None], sample_logistic_nonneg_array(locations[s], U[:, 1])[:, None]
 
-    return 2, kernel, None
+    return 2, kernel

@@ -26,8 +26,8 @@ A cell has one source per stream, and each chunk takes the next rows of
 its uniform matrix, ``width`` draws per trial (as many as a trial can
 read), so trial t owns draws ``[t*width, (t+1)*width)`` of the stream.  The
 rows go through the audit's kernels (:func:`gapdp.svt.svt_batch`, with one
-threshold per row, and :func:`gapdp.topk.gap_topk_batch`), the measurement
-draws are gathered at each row's ``used`` offset, and
+threshold per row, and :func:`gapdp.topk.gap_topk_batch`), each of which
+reads a fixed number of draws, the measurement draws follow them, and
 :func:`gapdp.postprocess.blue_topk_rows` or
 :func:`~gapdp.postprocess.fuse_svt_rows` combines them.  Each trial reads
 the uniforms a scalar run replaying its block would read and every sum
@@ -302,7 +302,7 @@ def _mse_reduction_svt(cfg: ExperimentConfig, qs: QuerySet, eps: float, k: int) 
     _require_ranks(n, k)
     theta = _default_theta(cfg, k, qs.monotonic, eps / 2.0)
     model = svt_variance_model(k, eps, theta, cfg.noise, qs.monotonic)
-    draws, scan, _ = svt_batch(qs, _svt_config(cfg, qs, eps / 2.0, k, theta))
+    draws, scan = svt_batch(qs, _svt_config(cfg, qs, eps / 2.0, k, theta))
     acc = _RatioAccumulator(cfg.trials)
     src = SeededSource(cfg.seed, *STREAMS["cell"])
     for trials in _chunks(cfg.trials):
@@ -310,17 +310,17 @@ def _mse_reduction_svt(cfg: ExperimentConfig, qs: QuerySet, eps: float, k: int) 
         # each of its m answers: at most 1 + draws + n.
         U = src.uniform_matrix(len(trials), 1 + draws + n)
         thresholds = _thresholds(qs, k, U[:, 0])
-        codes, gaps, used = scan(U[:, 1:1 + draws], thresholds)
+        codes, gaps = scan(U[:, 1:1 + draws], thresholds)
         answered = codes > 0
         m = answered.sum(axis=1)
         some = m > 0
-        m, used, thresholds = m[some], used[some], thresholds[some]
+        m, thresholds = m[some], thresholds[some]
         width = int(m.max(initial=0))
         # Answered queries first, in scan order, with their gaps.
         index = np.argsort(~answered[some], axis=1, kind="stable")[:, :width]
         true = values[index]
         gaps = np.take_along_axis(gaps[some], index, axis=1)
-        u = np.take_along_axis(U[some], 1 + used[:, None] + np.arange(width), axis=1)
+        u = U[some, 1 + draws:1 + draws + width]
         # Laplace(2m/eps) noise: scaling unit noise rounds as drawing at the
         # scale does, both being one product with log1p's value.
         alphas = true + (2.0 * m / eps)[:, None] * Laplace(1.0).inverse_cdf_array(u)
@@ -350,7 +350,7 @@ def _mse_reduction_topk(cfg: ExperimentConfig, qs: QuerySet, eps: float, k: int)
     # exactly 1, 4, 1/2 or 2.
     selection = FamilyNoise(cfg.noise, eps, 2.0 * k if qs.monotonic else 4.0 * k)
     lam = selection.variance / measurement.variance
-    _, select, _ = gap_topk_batch(qs, k, eps_param, cfg.noise)
+    _, select = gap_topk_batch(qs, k, eps_param, cfg.noise)
     acc = _RatioAccumulator(cfg.trials)
     src = SeededSource(cfg.seed, *STREAMS["cell"])
     for trials in _chunks(cfg.trials):
@@ -371,8 +371,8 @@ def _compared_scans(cfg: ExperimentConfig, qs: QuerySet, eps: float, k: int, the
     """Per chunk of trials: each trial's threshold, the codes of its
     single-branch scan (the ``cell`` stream, after the threshold draw) and
     those of its adaptive scan (``cell-adaptive``), both at budget ``eps``."""
-    draws, scan, _ = svt_batch(qs, _svt_config(cfg, qs, eps, k, theta))
-    alt_draws, alt_scan, _ = svt_batch(qs, _svt_config(cfg, qs, eps, k, theta, adaptive=True))
+    draws, scan = svt_batch(qs, _svt_config(cfg, qs, eps, k, theta))
+    alt_draws, alt_scan = svt_batch(qs, _svt_config(cfg, qs, eps, k, theta, adaptive=True))
     src = SeededSource(cfg.seed, *STREAMS["cell"])
     alt_src = SeededSource(cfg.seed, *STREAMS["cell-adaptive"])
     for trials in _chunks(cfg.trials):
@@ -435,7 +435,7 @@ def _remaining_budget(cfg: ExperimentConfig, qs: QuerySet, eps: float, k: int) -
     _require_ranks(len(qs), k)
     theta = _default_theta(cfg, k, qs.monotonic, eps)
     svt_cfg = _svt_config(cfg, qs, eps, k, theta, adaptive=True)
-    draws, scan, _ = svt_batch(qs, svt_cfg)
+    draws, scan = svt_batch(qs, svt_cfg)
     fractions = []
     src = SeededSource(cfg.seed, *STREAMS["cell"])
     for trials in _chunks(cfg.trials):

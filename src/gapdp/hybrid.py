@@ -90,7 +90,7 @@ def hybrid_identity(
     threshold sentinel is reached, which is returned as the final pair.
     Runs :func:`hybrid_identity_batch`'s kernel on the next n + 1 uniforms.
     """
-    draws, kernel, _ = hybrid_identity_batch(q, threshold, k, eps)
+    draws, kernel = hybrid_identity_batch(q, threshold, k, eps)
     codes, gaps = single_run(kernel, draws, src)
     return HybridIdentityResult(codes, gaps, eps, ((len(codes) / k) * eps,))
 
@@ -99,10 +99,9 @@ def hybrid_identity_batch(q: QuerySet, threshold: float, k: int, eps: float):
     """The kernel of :func:`hybrid_identity` on ``q``, which the audit runs
     directly.
 
-    Returns ``(n + 1, kernel, None)``, no trial stopping early;
-    ``kernel(U)`` maps a (trials, n + 1) uniform matrix (threshold draw
-    first) to every trial's released indices (int64, -1 after the sentinel)
-    and gaps (float64, NaN after it).
+    Returns ``(n + 1, kernel)``; ``kernel(U)`` maps a (trials, n + 1)
+    uniform matrix (threshold draw first) to every trial's released indices
+    (int64, -1 after the sentinel) and gaps (float64, NaN after it).
     """
     _check(q, k, eps)
     kind = Exponential(2.0 * k / eps)
@@ -114,7 +113,7 @@ def hybrid_identity_batch(q: QuerySet, threshold: float, k: int, eps: float):
         past = np.cumsum(sentinel, axis=1) > sentinel
         return np.where(past, -1, codes), np.where(past, np.nan, gaps)
 
-    return len(offsets), kernel, None
+    return len(offsets), kernel
 
 
 def hybrid_estimates(
@@ -132,7 +131,7 @@ def hybrid_estimates(
     minus noisy threshold) while the scan stays above the threshold.  Runs
     :func:`hybrid_estimates_batch`'s kernel on the next n + 1 uniforms.
     """
-    draws, kernel, _ = hybrid_estimates_batch(q, threshold, k, eps, theta)
+    draws, kernel = hybrid_estimates_batch(q, threshold, k, eps, theta)
     codes, gaps = single_run(kernel, draws, src)
     t = len(codes)
     return HybridResult(codes, gaps, eps, ((theta + (t / k) * (1.0 - theta)) * eps,))
@@ -144,10 +143,10 @@ def hybrid_estimates_batch(
     """The kernel of :func:`hybrid_estimates` on ``q``, which the audit runs
     directly.
 
-    Returns ``(n + 1, kernel, None)``, no trial stopping early;
-    ``kernel(U)`` maps a (trials, n + 1) uniform matrix (threshold draw
-    first) to every trial's released indices (int64, -1 padded) and gaps
-    over the noisy threshold (float64, NaN padded).
+    Returns ``(n + 1, kernel)``; ``kernel(U)`` maps a (trials, n + 1)
+    uniform matrix (threshold draw first) to every trial's released indices
+    (int64, -1 padded) and gaps over the noisy threshold (float64, NaN
+    padded).
     """
     _check(q, k, eps)
     if not 0.0 < theta < 1.0:
@@ -165,4 +164,4 @@ def hybrid_estimates_batch(
         above = np.logical_and.accumulate(top >= noisy_threshold, axis=1)
         return np.where(above, order, -1), np.where(above, top - noisy_threshold, np.nan)
 
-    return len(values) + 1, kernel, None
+    return len(values) + 1, kernel

@@ -6,18 +6,18 @@ source.  :class:`SeededSource` gives reproducible pseudo-random streams;
 :class:`ReplaySource` replays a fixed list of uniforms, which is what makes
 exact zero-noise hand traces testable.
 
-The black-box exponential mechanism with its default selector takes its
-two draws as a (1, 2) row from :meth:`RandomSource.uniform_matrix`, and a
-caller's selector reads through :meth:`RandomSource.uniform`; either way
-:func:`logistic_nonneg` maps the gap draw.  Every other mechanism runs its
-batch kernel.  The fixed-draw ones (top-k, the hybrids, Gumbel-max) take a
-(1, draws) row from :meth:`RandomSource.uniform_matrix`.  The sparse-vector
-scans stop early, so they read ahead with :meth:`RandomSource.peek` and then
-consume with :meth:`RandomSource.advance` only the draws the scan used.  The
-audit takes a whole (trials, draws) matrix of the same stream for a
-fixed-draw kernel and reads a chunk of scans ahead the same way.  A kernel
-maps its matrix through the array forms ``inverse_cdf_array`` (or, for one
-family at several scales, ``unit_array`` and ``from_unit``) and
+Every mechanism reads one fixed row of uniforms per run, a (1, draws)
+row from :meth:`RandomSource.uniform_matrix` whose width depends only on
+the input's size: n draws for top-k and Gumbel-max, n + 1 for the hybrids,
+1 + n for :func:`gapdp.svt.gap_svt` and 1 + 2n for
+:func:`gapdp.svt.adaptive_svt`, however early the scan stops, and 2 for the
+black-box exponential mechanism with its default selector (a caller's
+selector reads through :meth:`RandomSource.uniform`, and
+:func:`logistic_nonneg` maps the gap draw).  The audit and the experiment
+harness take a whole (trials, draws) matrix of the same stream, whose row r
+is what the r-th of back-to-back runs reads.  A kernel maps its matrix
+through the array forms ``inverse_cdf_array`` (or, for one family at
+several scales, ``unit_array`` and ``from_unit``) and
 :func:`sample_logistic_nonneg_array`.  Each array form applies the same
 floating-point operations as its scalar twin, so the two agree up to the
 last-ulp differences between numpy's and ``math``'s ``log``/``log1p``/
@@ -82,15 +82,8 @@ class RandomSource:
 
     A source is single-owner: do not share one instance across concurrent
     tasks.  Concurrent runs should each construct their own seeded source.
-
-    Besides :meth:`uniform`, a source offers a look-ahead: :meth:`peek`
-    returns the next draws without consuming them, and :meth:`advance`
-    consumes them.  ``peek(n)`` followed by ``advance(m)``, m <= n, leaves
-    the stream where m calls of ``uniform()`` leave it, and the peeked
-    values are the ones those calls return.  The sparse-vector scans read
-    this way: they cannot know beforehand how many draws they take.  A
-    subclass that defines only ``uniform()`` cannot serve them and raises
-    ``NotImplementedError`` there.
+    A subclass needs only :meth:`uniform`; :meth:`uniform_matrix`, which
+    every mechanism reads its row through, defaults to a loop of it.
     """
 
     def uniform(self) -> float:
@@ -104,29 +97,8 @@ class RandomSource:
             [self.uniform() for _ in range(rows * cols)], dtype=np.float64
         ).reshape(rows, cols)
 
-    def peek(self, n: int) -> np.ndarray:
-        """The next ``n`` uniforms as a read-only float64 array, not consumed.
-        Fewer only when the stream ends before them."""
-        raise self._no_look_ahead()
 
-    def advance(self, m: int) -> None:
-        """Consume the next ``m`` uniforms, as ``m`` calls of :meth:`uniform`
-        would, raising as they would where the stream ends."""
-        raise self._no_look_ahead()
-
-    def _no_look_ahead(self) -> NotImplementedError:
-        return NotImplementedError(
-            f"{type(self).__name__} defines no peek(n)/advance(m) look-ahead, "
-            "which the sparse-vector scans need"
-        )
-
-
-def _read_only(values: np.ndarray) -> np.ndarray:
-    values.flags.writeable = False
-    return values
-
-
-_BLOCK = 4096  # the draws one refill of a SeededSource takes (a longer look-ahead takes more)
+_BLOCK = 4096  # the draws one refill of a SeededSource takes
 _RUN = 256  # the unread draws a SeededSource lists at a time for uniform()
 # A SeededSource's exact-zero draw becomes this; every other draw is a
 # multiple of 2**-53, so none changes.
@@ -162,9 +134,8 @@ class SeededSource(RandomSource):
         # Drawn but unread: _ahead[_pos:].  _buf is a prefix of _ahead as a
         # list, which keeps uniform() near a list index.  Each refill lists
         # the next _RUN unread draws, so a few uniform() calls after a
-        # matrix draw or a look-ahead list a run, not a block.  peek()
-        # empties _buf when it rebuilds _ahead.
-        self._ahead = _read_only(np.empty(0))
+        # matrix draw list a run, not a block.
+        self._ahead = np.empty(0)
         self._buf: list[float] = []
         self._pos = 0
 
@@ -181,7 +152,7 @@ class SeededSource(RandomSource):
         if self._pos < len(self._ahead):
             self._ahead = self._ahead[self._pos:]
         else:
-            self._ahead = _read_only(self._draw(_BLOCK))
+            self._ahead = self._draw(_BLOCK)
         self._pos = 0
         self._buf = self._ahead[:_RUN].tolist()
 
@@ -200,19 +171,6 @@ class SeededSource(RandomSource):
             tail = np.concatenate([head, tail])
         return tail.reshape(rows, cols)
 
-    def peek(self, n: int) -> np.ndarray:
-        short = self._pos + n - len(self._ahead)
-        if short > 0:
-            fresh = self._draw(max(short, _BLOCK))
-            self._ahead = _read_only(np.concatenate([self._ahead[self._pos:], fresh]))
-            self._buf = []
-            self._pos = 0
-        return self._ahead[self._pos:self._pos + n]
-
-    def advance(self, m: int) -> None:
-        self.peek(m)
-        self._pos += m
-
 
 class ReplaySource(RandomSource):
     """Replays a fixed uniform sequence, then raises on exhaustion."""
@@ -222,7 +180,7 @@ class ReplaySource(RandomSource):
         for v in vals:
             if not 0.0 <= v < 1.0:
                 raise ValueError(f"replay value {v} outside [0, 1)")
-        self._array = _read_only(np.array(vals, dtype=np.float64))
+        self._array = np.array(vals, dtype=np.float64)
         self._pos = 0
 
     def uniform(self) -> float:
@@ -233,19 +191,12 @@ class ReplaySource(RandomSource):
         return u
 
     def uniform_matrix(self, rows: int, cols: int) -> np.ndarray:
-        # A copy of the stored slice; a short stream raises as uniform() does.
-        start = self._pos
-        self.advance(rows * cols)
-        return self._array[start:self._pos].reshape(rows, cols).copy()
-
-    def peek(self, n: int) -> np.ndarray:
-        return self._array[self._pos:self._pos + n]
-
-    def advance(self, m: int) -> None:
-        if self._pos + m > len(self._array):
-            self._pos = len(self._array)
+        # A copy of the stored slice.  A short stream raises as uniform()
+        # does, before giving anything, and is left exhausted.
+        start, self._pos = self._pos, min(self._pos + rows * cols, len(self._array))
+        if self._pos - start < rows * cols:
             self._exhausted()
-        self._pos += m
+        return self._array[start:self._pos].reshape(rows, cols).copy()
 
     def _exhausted(self):
         raise ReplayExhaustedError(

@@ -16,16 +16,17 @@ one-sided draws are debiased by their expected value so gaps stay centered.
 
 Both run one implementation, the scan behind the array kernel of
 :func:`svt_batch`, which the audit and the experiment harness also run over
-many trials at once.  A release cannot know beforehand how many draws its
-scan takes, so it reads the rest of its source ahead
-(:meth:`RandomSource.peek`) and scans it in one pass; the source gives up
-exactly the draws the scan read.  Over ``_PARTITION_COLUMNS`` queries or
-more, a release's scan tags only the queries whose value could pass the
-test with the noise of the row's largest draw, a few dozen of 10^4 on
-counting data, and the rest go below at no charge.  The result is a
-:class:`gapdp.audit.Release` of the scan's tags, released gaps and charges
-(eps0, then each report's charge in scan order); :class:`SvtItem` objects
-are built from it only when asked for.
+many trials at once.  A release takes one fixed row of uniforms from its
+source, the threshold draw and every query's draws, however early its scan
+stops, and scans it in one pass.  Drawing every query's noise up front
+instead of one query at a time gives the same law, and so the same
+privacy.  Over ``_PARTITION_COLUMNS`` queries or more, a release's scan
+tags only the queries whose value could pass the test with the noise of
+the row's largest draw, a few dozen of 10^4 on counting data, and the rest
+go below at no charge.  The result is a :class:`gapdp.audit.Release` of the
+scan's tags, released gaps and charges (eps0, then each report's charge in
+scan order); :class:`SvtItem` objects are built from it only when asked
+for.
 
 Also here: the budget-split tuner :func:`theta_optimal`, and the lower
 confidence machinery for gap estimates (:func:`tail_probability`,
@@ -180,24 +181,13 @@ def _require_integer_queries(q: QuerySet, cfg: SvtConfig) -> None:
 
 
 def _release(q: QuerySet, cfg: SvtConfig, src: RandomSource) -> SvtResult:
-    """Run :func:`svt_batch`'s scan as one release on ``src``.
-
-    The scan cannot know its length beforehand, so it reads the rest of the
-    stream ahead, the threshold draw and the draws of every query, and scans
-    it in one pass (``trial`` of :func:`_scanner`: on a wide row only the
-    queries that can pass the test are tagged).  The source advances by
-    exactly the draws the scan used, so a shared source continues where the
-    scan stopped reading.  A stream that ends first raises where a
-    draw-by-draw scan would.
-    """
-    n, step = len(q.values), 2 if cfg.adaptive else 1
-    row = src.peek(1 + step * n)
-    if not len(row):
-        src.advance(1)  # an empty stream raises here, as the scan's first draw would
-    scanned, stopped, cols, tags, gaps = _scanner(q, cfg)[1](row)
-    if not stopped and scanned < n:
-        src.advance(len(row) + 1)  # the stream ends inside the scan: raises where it runs dry
-    src.advance(1 + step * scanned)
+    """Run :func:`svt_batch`'s scan as one release on the next row of
+    ``src``: the threshold draw and the draws of every query, taken as one
+    (1, draws) matrix whether or not the scan reads them all (``trial`` of
+    :func:`_scanner`: on a wide row only the queries that can pass the test
+    are tagged)."""
+    draws, _, trial = _scanner(q, cfg)
+    scanned, cols, tags, gaps = trial(src.uniform_matrix(1, draws)[0])
     codes, reported = [0] * scanned, tags.tolist()
     for col, tag in zip(cols.tolist(), reported):
         codes[col] = tag
@@ -214,7 +204,7 @@ def gap_svt(q: QuerySet, cfg: SvtConfig, src: RandomSource) -> SvtResult:
     emits the noisy gap and charges eps1; the scan stops once the consumed
     budget exceeds epsilon - eps1 or the queries run out.  Runs
     :func:`svt_batch`'s scan on the next uniforms of ``src``, consuming
-    exactly the threshold draw and one draw per scanned query.
+    exactly ``1 + n`` draws: the threshold draw and one per query.
     """
     if cfg.adaptive:
         raise ValueError("gap_svt requires a config with adaptive=False")
@@ -227,11 +217,10 @@ def adaptive_svt(q: QuerySet, cfg: SvtConfig, src: RandomSource) -> SvtResult:
     Per query, a heavily noised value (branch budget eps2) is tested first
     against the noisy threshold plus 2 sigma, where sigma is the standard
     deviation of that top-branch noise; passing reports the gap at cost eps2.
-    Otherwise a moderately noised value (eps1) is tested at margin 0.  Both
-    noise values are always drawn, whether or not they are used, so replayed
-    traces are stable.  Runs :func:`svt_batch`'s scan on the next uniforms
-    of ``src``, consuming exactly the threshold draw and two per scanned
-    query.
+    Otherwise a moderately noised value (eps1) is tested at margin 0.  Runs
+    :func:`svt_batch`'s scan on the next uniforms of ``src``, consuming
+    exactly ``1 + 2n`` draws: the threshold draw and two per query, top
+    then middle.
     """
     if not cfg.adaptive:
         raise ValueError("adaptive_svt requires a config with adaptive=True")
@@ -242,60 +231,21 @@ def svt_batch(q: QuerySet, cfg: SvtConfig):
     """The kernel of :func:`gap_svt` (or :func:`adaptive_svt` when
     ``cfg.adaptive``) on ``q``, which the audit and the experiment harness
     run, and whose scan the public calls release one trial of: returns
-    ``(draws, kernel, reach)``.
+    ``(draws, kernel)``, ``draws`` being ``1 + n`` (``1 + 2n`` adaptive).
 
     ``kernel(U, thresholds=None)`` takes a (trials, draws) uniform matrix
     laid out as a scan reads it (threshold, then per query its top draw if
     adaptive and its middle draw) and returns every trial's audit output at
     once: ``codes`` (int64, one tag per scanned query: 0 below, 1 middle,
-    2 top; -1 past the stop), ``gaps`` (float64, each released gap in its
-    query's column, NaN in the others) and ``used`` (int64, the draws the
-    trial read).  ``thresholds``, one per row, replaces ``cfg.threshold``.
-    A trial stops after the query whose charge takes the consumed budget
-    past ``epsilon - eps1``, and the rest of its row goes unread.  The
-    kernel scans every query of every row; a release runs one row through
-    ``trial`` of :func:`_scanner`, which on wide rows tags only the queries
-    that can pass, and gives the same row.
-
-    ``reach(stream)`` takes a 1-D uniform stream and returns, for every
-    offset s with a whole window ``stream[s:s + draws]``, the ``used`` the
-    kernel gives that window, without building the windows: one
-    inverse-CDF pass over the stream serves every offset.  The auditor runs
-    it first to find where back-to-back trials start, then runs the kernel
-    on those rows only.
+    2 top; -1 past the stop) and ``gaps`` (float64, each released gap in
+    its query's column, NaN in the others).  ``thresholds``, one per row,
+    replaces ``cfg.threshold``.  A trial stops after the query whose charge
+    takes the consumed budget past ``epsilon - eps1``, and the rest of its
+    row goes unused.  The kernel scans every query of every row; a release
+    runs one row through ``trial`` of :func:`_scanner`, which on wide rows
+    tags only the queries that can pass, and gives the same row.
     """
-    scan, _ = _scanner(q, cfg)
-    n, step = len(q.values), 2 if cfg.adaptive else 1
-    draws = 1 + step * n
-    thr_kind, b0, mid_kind, _, top_kind, _, _, charges = cfg._scan_constants
-    eps0, limit = cfg.eps0, cfg.epsilon - cfg.eps1
-
-    def kernel(U: np.ndarray, thresholds: Optional[np.ndarray] = None):
-        tags, gaps, within = scan(U, thresholds)
-        scanned = np.minimum(within.sum(axis=0) + 1, n)
-        codes = np.where(np.arange(n)[:, None] < scanned, tags, -1)
-        return codes.T, np.where(codes > 0, gaps, np.nan).T, 1 + step * scanned
-
-    def reach(stream: np.ndarray) -> np.ndarray:
-        offsets = max(len(stream) - draws + 1, 0)
-        within = np.zeros(offsets, dtype=np.int64)
-        # The scan's arithmetic on shifted slices: a query's draws sit at
-        # the same distance from every window's threshold draw.
-        with np.errstate(divide="ignore", invalid="ignore"):
-            z = thr_kind.unit_array(stream)
-            noisy_threshold = cfg.threshold + thr_kind.from_unit(z[:offsets]) - b0
-            mid = mid_kind.from_unit(z)
-            top = top_kind.from_unit(z) if cfg.adaptive else None
-            consumed = eps0
-            for j, value in enumerate(q.values):
-                at = step * (j + 1)  # the query's middle draw; its top draw is at - 1
-                tags, _ = _tag(cfg, value, noisy_threshold, mid[at:at + offsets],
-                               None if top is None else top[at - 1:at - 1 + offsets])
-                consumed = consumed + charges.take(tags)  # in scan order, as _accumulate sums
-                within += consumed <= limit
-        return 1 + step * np.minimum(within + 1, n)
-
-    return draws, kernel, reach
+    return _scanner(q, cfg)[:2]
 
 
 def _tag(cfg: SvtConfig, value, noisy_threshold, mid, top):
@@ -304,7 +254,7 @@ def _tag(cfg: SvtConfig, value, noisy_threshold, mid, top):
     ``noisy_threshold``, given their middle and, for the adaptive scan, top
     noise (``from_unit`` draws, before their centre is taken off).  Every
     argument broadcasts, so one statement of the rule serves the kernel's
-    (query, trial) arrays and :func:`svt_batch`'s per-offset ``reach``."""
+    (query, trial) arrays and a release's candidate column."""
     gaps, middle, over_top, top_hit = _compare(cfg, value, noisy_threshold, mid, top)
     if not cfg.adaptive:
         return middle.astype(np.int64), gaps
@@ -327,35 +277,41 @@ def _compare(cfg: SvtConfig, value, noisy_threshold, mid, top):
 
 
 def _scanner(q: QuerySet, cfg: SvtConfig):
-    """The scan behind :func:`svt_batch`'s kernel and the releases:
-    ``(scan, trial)``.
+    """The scan behind :func:`svt_batch` and the releases: ``(draws,
+    kernel, trial)``, ``draws`` being ``1 + n`` (``1 + 2n`` adaptive).
 
-    ``scan(U, thresholds=None)`` takes rows holding the threshold draw and
-    then the draws of the first m <= n queries, and scans them with every
-    query at once.  It returns, per (query, trial), the tags, the candidate
-    gaps and whether the consumed budget after the query is still within
-    ``epsilon - eps1``.  The scan stops after the first query where it is
-    not; consumed budget only grows, so the queries within it come first.
+    ``kernel(U, thresholds=None)`` scans every row with every query at
+    once.  Per (query, trial) it finds the tags, the candidate gaps and
+    whether the consumed budget after the query is still within ``epsilon -
+    eps1``.  The scan stops after the first query where it is not; consumed
+    budget only grows, so the queries within it come first.
 
-    ``trial(row, threshold=cfg.threshold)`` scans one such row and returns
-    what it releases: how many queries it scans (all m if it does not
-    stop), whether it stopped, and the columns, tags and gaps of its
-    reports.  On ``_PARTITION_COLUMNS`` queries or more it tags only the
-    queries that can pass the test: a query's test, run by :func:`_compare`
-    with its noise replaced by the :func:`gapdp.noise.ceiling` of the row's
-    largest query draw, bounds its real test.  Those bounds fall with the
-    value, so the queries that can pass are the largest values, found by
-    bisection, and they are scanned in index order.  Queries that cannot
-    pass are tagged 0 and add nothing to the consumed budget.  A noisy
-    threshold or a ceiling that is not finite tags every query, and so does
-    a config whose eps0 alone is past ``epsilon - eps1`` (at k = 1, theta
-    = 0.1 and epsilon = 1, once rounded): its scans stop on query 0.
+    ``trial(row, threshold=cfg.threshold)`` scans one row and returns what
+    it releases: how many queries it scans (all n if it does not stop) and
+    the columns, tags and gaps of its reports.  On ``_PARTITION_COLUMNS``
+    queries or more it tags only the queries that can pass the test: a
+    query's test, run by :func:`_compare` with its noise replaced by the
+    :func:`gapdp.noise.ceiling` of the row's largest query draw, bounds its
+    real test.  Those bounds fall with the value, so the queries that can
+    pass are the largest values, found by bisection, and they are scanned
+    in index order.  Queries that cannot pass are tagged 0 and add nothing
+    to the consumed budget.  A noisy threshold or a ceiling that is not
+    finite tags every query, and so does a config whose eps0 alone is past
+    ``epsilon - eps1`` (at k = 1, theta = 0.1 and epsilon = 1, once
+    rounded): its scans stop on query 0.
+
+    A monotonic config halves the query noise, so it needs a query set
+    marked monotonic, and geometric noise needs integer values.
     """
+    if cfg.monotonic and not q.monotonic:
+        raise ValueError("a monotonic config halves the query noise: it needs a query set "
+                         "marked monotonic")
     _require_integer_queries(q, cfg)
     adaptive, eps0, limit = cfg.adaptive, cfg.eps0, cfg.epsilon - cfg.eps1
     thr_kind, b0, mid_kind, b1, top_kind, b2, margin, charges = cfg._scan_constants
     step = 2 if adaptive else 1
     values = q.value_array
+    n = len(values)
 
     def tally(v, noisy_threshold, z):
         # z holds the queries' unit draws, one row per draw.  Consumed
@@ -368,20 +324,23 @@ def _scanner(q: QuerySet, cfg: SvtConfig):
         spent[:1] += eps0
         return tags, gaps, _accumulate(spent) <= limit
 
-    def scan(U: np.ndarray, thresholds: Optional[np.ndarray] = None):
+    def kernel(U: np.ndarray, thresholds: Optional[np.ndarray] = None):
         threshold = cfg.threshold if thresholds is None else thresholds
         # A zero draw gives Laplace noise -inf, and two give -inf minus -inf:
         # a NaN gap, as in a draw-by-draw scan.
         with np.errstate(divide="ignore", invalid="ignore"):
             # One inverse-CDF pass serves all three noises.  Row j holds
-            # every trial's draw j, so a stream window's rows are contiguous.
+            # every trial's draw j.
             z = thr_kind.unit_array(U.T)
             noisy_threshold = threshold + thr_kind.from_unit(z[0]) - b0
-            return tally(values[:(len(z) - 1) // step, None], noisy_threshold, z[1:])
+            tags, gaps, within = tally(values[:, None], noisy_threshold, z[1:])
+        scanned = np.minimum(within.sum(axis=0) + 1, n)
+        codes = np.where(np.arange(n)[:, None] < scanned, tags, -1)
+        return codes.T, np.where(codes > 0, gaps, np.nan).T
 
     def passing(draws: np.ndarray, noisy_threshold: float) -> Optional[np.ndarray]:
-        # The queries, among the first len(draws), that can pass the test,
-        # or None where that is every query.
+        # The queries that can pass the test, or None where that is every
+        # query.
         u = float(draws.max())
         mid = ceiling(mid_kind, u)
         top = ceiling(top_kind, u) if adaptive else mid
@@ -397,15 +356,11 @@ def _scanner(q: QuerySet, cfg: SvtConfig):
         if adaptive:
             guess = min(guess, noisy_threshold + margin - top + b2)
         order, ordered = q.by_value
-        reach = leading(ordered, passes, guess)
-        if reach == len(values):
-            return None
-        cols = np.sort(order[:reach])
-        return cols[cols < len(draws)] if len(draws) < len(values) else cols
+        count = leading(ordered, passes, guess)
+        return None if count == n else np.sort(order[:count])
 
     def trial(row: np.ndarray, threshold: float = cfg.threshold):
-        m = (len(row) - 1) // step
-        draws, v, cols = row[1:1 + step * m].reshape(m, step), values[:m], None
+        draws, v, cols = row[1:].reshape(n, step), values, None
         with np.errstate(divide="ignore", invalid="ignore"):
             # numpy's ufuncs give a scalar what they give the same draw in
             # an array, and the threshold noise is one draw.
@@ -414,7 +369,7 @@ def _scanner(q: QuerySet, cfg: SvtConfig):
             # tally charges eps0 with the first query tagged.  Past the
             # limit on its own, eps0 stops the scan on query 0, which only
             # a scan of every query is sure to tag.
-            if len(values) >= _PARTITION_COLUMNS and m and eps0 <= limit:
+            if n >= _PARTITION_COLUMNS and eps0 <= limit:
                 cols = passing(draws, noisy_threshold)
             if cols is not None:
                 draws, v = draws[cols], values[cols]
@@ -427,16 +382,16 @@ def _scanner(q: QuerySet, cfg: SvtConfig):
         tags, gaps = tags[above], gaps[above]
         if cols is not None:  # positions among the candidates: their queries
             last, above = int(cols[last]) if stopped else last, cols[above]
-        return last + 1 if stopped else m, stopped, above, tags, gaps
+        return last + 1 if stopped else n, above, tags, gaps
 
-    return scan, trial
+    return 1 + step * n, kernel, trial
 
 
 def _accumulate(spent: np.ndarray) -> np.ndarray:
     """Sum ``spent`` down its first axis in place, in order: row j becomes
     the sum of rows 0..j, as ``np.cumsum(axis=0)`` adds them.  numpy
     accumulates along a short first axis slowly (3 x 4096, the audit's
-    windows: ~110 us against ~10 us row by row), so few rows are added one
+    chunks: ~110 us against ~10 us row by row), so few rows are added one
     at a time."""
     if len(spent) < spent.shape[1]:
         for row, before in zip(spent[1:], spent[:-1]):
@@ -469,7 +424,7 @@ def theta_optimal(
     monotonicity.  For geometric noise the gap variance
     ``e^r0/(e^r0-1)^2 + e^r1/(e^r1-1)^2`` (rates r0 = theta*eps,
     r1 = (1-theta)*eps/(c*k)) is convex in theta and is minimized
-    numerically, which is why ``eps`` is required there.
+    numerically, which is why ``eps``, finite and > 0, is required there.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -481,6 +436,8 @@ def theta_optimal(
         return 1.0 / (1.0 + (m * k * k) ** (1.0 / 3.0))
     if eps is None:
         raise ValueError("geometric noise needs eps to tune theta")
+    if not 0.0 < eps < math.inf:
+        raise ValueError(f"eps must be finite and > 0, got {eps}")
     from scipy.optimize import minimize_scalar  # costs ~0.5 s; only this branch needs it
 
     c = math.sqrt(m)

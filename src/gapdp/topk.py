@@ -51,7 +51,7 @@ def gap_topk(
     see audit.tie_probability_bound for the discretized-noise failure rate).
     Runs :func:`gap_topk_batch`'s kernel on the next n uniforms of ``src``.
     """
-    draws, kernel, _ = gap_topk_batch(q, k, eps, noise)
+    draws, kernel = gap_topk_batch(q, k, eps, noise)
     if src is None:
         raise ValueError("gap_topk needs a RandomSource, e.g. src=SeededSource(seed)")
     charged = eps / 2.0 if q.monotonic else eps
@@ -135,8 +135,8 @@ def noisy_ranked(values: np.ndarray, by_value: tuple[np.ndarray, list[float]], k
     On ``_PARTITION_COLUMNS`` columns or more, noise is computed only for
     the columns that can still rank.  The seed columns, the first ``head``
     and those of the ``2 * count`` largest values, are ranked first; in
-    every row, ``count`` noisy values reach the least of the rows'
-    ``count``-th largest noisy seed values, the level.  A column whose
+    every row, ``count`` noisy values are at or above the least of the
+    rows' ``count``-th largest noisy seed values, the level.  A column whose
     ``noisy`` value, with its noise replaced by the
     :func:`gapdp.noise.ceiling` of the largest draw in ``U``, is below the
     level cannot rank: the same float expression, rounded monotonically,
@@ -157,14 +157,14 @@ def noisy_ranked(values: np.ndarray, by_value: tuple[np.ndarray, list[float]], k
     picked, picked_values = ranked(noisy(values[seed], kind.inverse_cdf_array(U[:, seed])), count)
     level = float(picked_values[:, -1].min())
     top = ceiling(kind, float(U.max()))
-    reach = len(order)
+    rankable = len(order)
     if math.isfinite(level) and math.isfinite(top):
-        reach = leading(ordered, lambda v: noisy(v, top) >= level, level - noisy(0.0, top))
-    if reach <= 2 * count:
+        rankable = leading(ordered, lambda v: noisy(v, top) >= level, level - noisy(0.0, top))
+    if rankable <= 2 * count:
         return seed[picked], picked_values
-    if reach == len(order):
+    if rankable == len(order):
         return ranked(noisy(values, kind.inverse_cdf_array(U)), count)
-    cols = np.concatenate((seed[:head], np.sort(order[:reach]) + head))
+    cols = np.concatenate((seed[:head], np.sort(order[:rankable]) + head))
     picked, picked_values = ranked(noisy(values[cols], kind.inverse_cdf_array(U[:, cols])), count)
     return cols[picked], picked_values
 
@@ -187,9 +187,9 @@ def single_run(kernel, draws: int, src: RandomSource) -> tuple[tuple[int, ...], 
 def gap_topk_batch(q: QuerySet, k: int, eps: float, noise: str = "laplace"):
     """The kernel of :func:`gap_topk` on ``q``, which the audit runs directly.
 
-    Returns ``(n, kernel, None)``, no trial stopping early; ``kernel(U)``
-    maps a (trials, n) uniform matrix to every trial's selected indices
-    (int64, trials x k) and gaps (float64, trials x k).
+    Returns ``(n, kernel)``; ``kernel(U)`` maps a (trials, n) uniform
+    matrix to every trial's selected indices (int64, trials x k) and gaps
+    (float64, trials x k).
     """
     kind = _selection_noise(q, k, eps, noise)
     values = q.value_array
@@ -197,7 +197,7 @@ def gap_topk_batch(q: QuerySet, k: int, eps: float, noise: str = "laplace"):
     def kernel(U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return top_gaps(*noisy_ranked(values, q.by_value, kind, U, k + 1))
 
-    return len(values), kernel, None
+    return len(values), kernel
 
 
 def pairwise_gap(r: TopKResult, a: int, b: int) -> float:

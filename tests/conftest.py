@@ -14,8 +14,8 @@ def zero_noise_uniform(family: str) -> float:
 
 
 def kernel_runs(batch, runs: int, seed: int):
-    """What ``runs`` back-to-back calls of a fixed-draw mechanism release on
-    ``SeededSource(seed)``: the kernel of ``batch``, the triple its
+    """What ``runs`` back-to-back calls of a mechanism release on
+    ``SeededSource(seed)``: the kernel of ``batch``, the pair its
     ``*_batch`` builder returns, on one (runs, draws) uniform matrix."""
-    draws, kernel, _ = batch
+    draws, kernel = batch
     return kernel(SeededSource(seed).uniform_matrix(runs, draws))

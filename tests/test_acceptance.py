@@ -270,7 +270,7 @@ def test_criterion_11_zero_noise_trace_suite(tmp_path):
 
     # adaptive_svt: top answer, middle answer, break at 1.75 consumed.
     cfg = SvtConfig(epsilon=2.0, k=2, threshold=10.0, theta=0.5, adaptive=True)
-    result = adaptive_svt(QuerySet((40.0, 15.0, 3.0, 30.0)), cfg, zeros("laplace", 5))
+    result = adaptive_svt(QuerySet((40.0, 15.0, 3.0, 30.0)), cfg, zeros("laplace", 9))
     assert [(i.gap, i.branch, i.budget_used) for i in result.items] == [
         (30.0, "top", 0.25), (5.0, "middle", 0.5),
     ]

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -186,17 +187,20 @@ class TestBlackboxMechanism:
                 table, SeededSource(seed), categorical_softmax_selector
             )
 
-    def test_release_right_after_a_look_ahead(self):
+    def test_release_right_after_scalar_draws(self):
         # The default path reads both draws as one matrix row: the release
-        # two uniform() calls give, and the same next draw after it.
+        # two uniform() calls give, and the same next draw after it, also
+        # where the row starts inside or at the end of a listed run of draws.
         table = _dataset_table()
-        for seed in range(20):
-            ahead, scalar = SeededSource(seed), SeededSource(seed)
-            ahead.peek(5000)
-            assert exp_mech_blackbox_gap(table, ahead) == exp_mech_blackbox_gap(
+        for seed, before in zip(range(20), itertools.cycle((1, 255, 256, 4095))):
+            matrix, scalar = SeededSource(seed), SeededSource(seed)
+            for src in (matrix, scalar):
+                for _ in range(before):
+                    src.uniform()
+            assert exp_mech_blackbox_gap(table, matrix) == exp_mech_blackbox_gap(
                 table, scalar, categorical_softmax_selector
             )
-            assert ahead.uniform() == scalar.uniform()
+            assert matrix.uniform() == scalar.uniform()
 
     def test_selector_out_of_range_is_an_error(self):
         table = UtilityTable((0.0, 1.0, 2.0), 1.0, 1.0)
@@ -248,7 +252,7 @@ class TestSoftmaxTable:
 
     @pytest.mark.parametrize("table", SMALL_TABLES[:3] + [_dataset_table()])
     def test_release_and_audit_kernel_agree_on_the_same_uniforms(self, table):
-        draws, kernel, _ = exp_mech_blackbox_batch(table)
+        draws, kernel = exp_mech_blackbox_batch(table)
         U = np.vstack([np.random.default_rng(5).random((300, draws)), [[1e-300, 1e-300]]])
         codes, gaps = kernel(U)
         for row, code, gap in zip(U, codes[:, 0], gaps[:, 0]):
@@ -266,7 +270,7 @@ class TestSoftmaxTable:
         u = 1.0 - 2.0**-53
         assert exp_mech_blackbox_gap(table, ReplaySource([u, 0.5])).selected == 0
         assert categorical_softmax_selector(table.scaled_scores(), ReplaySource([u])) == 0
-        _, kernel, _ = exp_mech_blackbox_batch(table)
+        _, kernel = exp_mech_blackbox_batch(table)
         assert kernel(np.array([[u, 0.5]]))[0][0, 0] == 0
         cumulative, _ = table._softmax_table
         assert cumulative[-1] == 1.0 < math.fsum(math.exp(x) for x in table.scaled_scores())

@@ -13,11 +13,9 @@ from gapdp.noise import (
     Gumbel,
     Laplace,
     Logistic,
-    RandomSource,
     ReplayExhaustedError,
     ReplaySource,
     SeededSource,
-    _BLOCK,
     canonical_family,
     ceiling,
     mean_of,
@@ -25,9 +23,6 @@ from gapdp.noise import (
     sample_logistic_nonneg,
     variance_of,
 )
-from gapdp.queries import QuerySet
-from gapdp.svt import SvtConfig, gap_svt
-
 from conftest import draw_many
 
 ALL_KINDS = [
@@ -146,16 +141,6 @@ def test_replay_source_yields_sequence_then_raises():
         src.uniform()
 
 
-def test_peek_does_not_consume():
-    src = SeededSource(8)
-    ahead = src.peek(5000)
-    assert not ahead.flags.writeable
-    assert np.array_equal(src.peek(3), ahead[:3])
-    assert [src.uniform() for _ in range(5000)] == ahead.tolist()
-    fresh = SeededSource(8)
-    assert [fresh.uniform() for _ in range(5000)] == ahead.tolist()
-
-
 # PCG64's 128-bit LCG multiplier.
 _PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
 
@@ -177,8 +162,7 @@ def test_seeded_source_never_returns_an_exact_zero():
     raw = one_step_before_zero(3)._gen.random(50)
     assert raw[0] == 0.0 and raw[1:].min() > 0.0
     for read in (lambda s: [s.uniform() for _ in range(50)],
-                 lambda s: s.uniform_matrix(5, 10).ravel().tolist(),
-                 lambda s: s.peek(50).tolist()):
+                 lambda s: s.uniform_matrix(5, 10).ravel().tolist()):
         drawn = read(one_step_before_zero(3))
         assert drawn == [2.0**-54] + raw[1:].tolist()
     u = one_step_before_zero(3).uniform()
@@ -186,51 +170,12 @@ def test_seeded_source_never_returns_an_exact_zero():
         assert math.isfinite(kind.inverse_cdf(u))
 
 
-def test_look_ahead_and_draws_interleave_into_one_stream():
-    a, b = SeededSource(9), SeededSource(9)
-    drawn = [a.uniform() for _ in range(5)]
-    drawn += a.peek(40).tolist()
-    a.advance(40)
-    drawn += a.uniform_matrix(3, 7).ravel().tolist()
-    ahead = a.peek(10_000)  # beyond the block: the source draws more
-    drawn += [a.uniform() for _ in range(4)]
-    assert drawn[-4:] == ahead[:4].tolist()
-    a.advance(9000)
-    drawn += ahead[4:9004].tolist()
-    drawn += a.uniform_matrix(1, 5000).ravel().tolist()
-    drawn += [a.uniform() for _ in range(3)]
-    drawn += a.uniform_matrix(2, 3000).ravel().tolist()  # drains what uniform() left
-    drawn += [a.uniform()]
-    ahead = a.peek(7).tolist()
-    drawn += [a.uniform() for _ in range(10_000)]
-    assert drawn[-10_000:-9993] == ahead
-    # A look-ahead past a block, then a scalar loop through many runs of it,
-    # its end and the blocks after it.
-    ahead = a.peek(_BLOCK + 100).tolist()
-    drawn += [a.uniform() for _ in range(3 * _BLOCK)]
-    assert drawn[-3 * _BLOCK:][:_BLOCK + 100] == ahead
-    assert drawn == [b.uniform() for _ in range(len(drawn))]
-
-
 @pytest.mark.parametrize("make", [lambda: SeededSource(3), lambda: ReplaySource([0.25] * 9)])
 def test_uniform_returns_a_python_float(make):
     src = make()
     assert type(src.uniform()) is float
-    src.peek(4)
-    src.advance(2)
+    src.uniform_matrix(1, 2)
     assert type(src.uniform()) is float
-
-
-def test_replay_peek_returns_what_is_left():
-    src = ReplaySource([0.1, 0.9, 0.5])
-    assert src.uniform() == 0.1
-    assert src.peek(5).tolist() == [0.9, 0.5]
-    assert src.remaining == 2
-    src.advance(1)
-    assert src.peek(1).tolist() == [0.5]
-    with pytest.raises(ReplayExhaustedError):
-        src.advance(2)
-    assert src.remaining == 0 and len(src.peek(1)) == 0
 
 
 @pytest.mark.parametrize("kind", [Laplace(0.7), Exponential(1.3), Geometric(0.4), Gumbel(0.2)])
@@ -268,22 +213,6 @@ def test_replay_uniform_matrix_is_its_stored_draws():
     assert src.remaining == 0
     with pytest.raises(ReplayExhaustedError):
         src.uniform()
-
-
-def test_source_without_look_ahead_says_so():
-    class Constant(RandomSource):
-        def uniform(self):
-            return 0.5
-
-    src = Constant()
-    assert src.uniform_matrix(1, 2).tolist() == [[0.5, 0.5]]
-    with pytest.raises(NotImplementedError, match="peek"):
-        src.peek(1)
-    with pytest.raises(NotImplementedError, match="peek"):
-        src.advance(1)
-    cfg = SvtConfig(epsilon=1.0, k=1, threshold=0.0, theta=0.5)
-    with pytest.raises(NotImplementedError, match="Constant defines no peek"):
-        gap_svt(QuerySet((1.0,)), cfg, src)
 
 
 def test_replay_source_validates_range():

@@ -97,7 +97,7 @@ class TestAdaptiveSvtTraces:
         cfg = SvtConfig(epsilon=2.0, k=2, threshold=10.0, theta=0.5, adaptive=True)
         assert (cfg.eps0, cfg.eps1, cfg.eps2) == (1.0, 0.5, 0.25)
         result = adaptive_svt(
-            QuerySet((40.0, 15.0, 3.0, 30.0)), cfg, zero_source("laplace", 5)
+            QuerySet((40.0, 15.0, 3.0, 30.0)), cfg, zero_source("laplace", 9)
         )
         flat = [(i.above, i.gap, i.branch, i.budget_used) for i in result.items]
         assert flat == [
@@ -133,30 +133,49 @@ class TestAdaptiveSvtTraces:
             gap_svt(QuerySet((1.0,)), adaptive, zero_source("laplace", 3))
 
     def test_draws_both_noises_even_when_top_branch_wins(self):
-        # Replay length must be exactly 1 + 2 per processed query.
+        # A release reads exactly 1 + 2 per query, though this scan stops
+        # after its second query.
         cfg = SvtConfig(epsilon=2.0, k=2, threshold=10.0, theta=0.5, adaptive=True)
-        src = ReplaySource([0.5] * 5)
+        src = ReplaySource([0.5] * 9)
         adaptive_svt(QuerySet((40.0, 15.0, 3.0, 30.0)), cfg, src)
         assert src.remaining == 0
 
 
 @pytest.mark.parametrize("adaptive", [False, True])
 def test_short_replay_raises_where_the_scan_runs_out(adaptive):
-    # Zero noise, every query below the threshold: the scan wants all
-    # 1 + (1 or 2) * 3 draws, and a replay one draw short runs dry on the
-    # last query, as a draw-by-draw scan does.  A scan that stops first
-    # reads no further and does not raise.
+    # A release takes its whole row of 1 + (1 or 2) * 3 draws before it
+    # scans, so a replay one draw short raises and is left exhausted,
+    # whether the scan would read every query (all below the threshold) or
+    # stop on the first.  With the whole row the latter releases one report
+    # and reads every draw.
     run = adaptive_svt if adaptive else gap_svt
     per_query = 2 if adaptive else 1
     q = QuerySet((1.0, 2.0, 3.0))
-    below = SvtConfig(epsilon=1.0, k=1, threshold=100.0, theta=0.5, adaptive=adaptive)
-    src = zero_source("laplace", per_query * 3)
-    with pytest.raises(ReplayExhaustedError):
-        run(q, below, src)
-    assert src.remaining == 0
-    above = SvtConfig(epsilon=1.0, k=1, threshold=0.0, theta=0.5, adaptive=adaptive)
-    src = zero_source("laplace", 1 + per_query)
-    assert len(run(q, above, src).items) == 1 and src.remaining == 0
+    for threshold in (100.0, 0.0):
+        cfg = SvtConfig(epsilon=1.0, k=1, threshold=threshold, theta=0.5, adaptive=adaptive)
+        src = zero_source("laplace", per_query * 3)
+        with pytest.raises(ReplayExhaustedError):
+            run(q, cfg, src)
+        assert src.remaining == 0
+    src = zero_source("laplace", 1 + per_query * 3)
+    assert len(run(q, cfg, src).items) == 1 and src.remaining == 0
+
+
+@pytest.mark.parametrize("adaptive", [False, True])
+def test_monotonic_config_needs_monotonic_queries(adaptive):
+    # A monotonic config halves the query noise, which only data marked
+    # monotonic may have: the kernel and both releases refuse the pair.
+    cfg = SvtConfig(epsilon=1.0, k=1, threshold=0.0, theta=0.5, monotonic=True,
+                    adaptive=adaptive)
+    run = adaptive_svt if adaptive else gap_svt
+    plain = QuerySet((10.0,) * 5)
+    for call in (lambda: run(plain, cfg, ReplaySource([0.5, 0.75] * 10)),
+                 lambda: svt_batch(plain, cfg)):
+        with pytest.raises(ValueError, match="monotonic"):
+            call()
+    marked = QuerySet(plain.values, monotonic=True)
+    assert run(marked, cfg, ReplaySource([0.5, 0.75] * 10)).codes[0] > 0
+    assert svt_batch(marked, cfg)[0] == 1 + (1 + adaptive) * 5
 
 
 @pytest.mark.parametrize("adaptive", [False, True])
@@ -236,6 +255,11 @@ class TestThetaOptimal:
     def test_geometric_requires_eps(self):
         with pytest.raises(ValueError, match="eps"):
             theta_optimal(5, "middle", True, "geometric")
+
+    @pytest.mark.parametrize("eps", [-1.0, 0.0, -0.0, math.nan, math.inf, -math.inf])
+    def test_geometric_rejects_an_eps_that_is_not_finite_and_positive(self, eps):
+        with pytest.raises(ValueError, match="eps"):
+            theta_optimal(5, "middle", True, "geometric", eps=eps)
 
     def test_geometric_minimizer_is_a_minimum(self):
         # The returned split should beat nearby splits on the gap variance.
@@ -341,8 +365,8 @@ def test_gap_variance_matches_closed_form():
     theta = theta_optimal(k, "middle", True, "laplace")
     cfg = SvtConfig(epsilon=eps, k=k, threshold=0.0, theta=theta, monotonic=True)
     qs = QuerySet((1e6,), monotonic=True)
-    codes, gaps, used = kernel_runs(svt_batch(qs, cfg), 100_000, 3)
-    assert (used == 2).all() and (codes == 1).all()
+    codes, gaps = kernel_runs(svt_batch(qs, cfg), 100_000, 3)
+    assert (codes == 1).all()
     gaps = gaps[:, 0]
     expected = 2.0 * (1.0 + 25.0 ** (1.0 / 3.0)) ** 3 / eps**2
     assert gaps.var() == pytest.approx(expected, rel=0.03)

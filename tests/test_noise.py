@@ -23,6 +23,7 @@ from gapdp.noise import (
     sample_logistic_nonneg,
     variance_of,
 )
+
 from conftest import draw_many
 
 ALL_KINDS = [

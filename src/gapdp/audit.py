@@ -12,6 +12,13 @@ slack (three binomial standard errors of the worst bin's log-ratio).
 Every public mechanism returns a :class:`Release`, whose ``audit_output()``
 gives (discrete structure, released gaps); a scalar test or planted
 mechanism may return that pair itself.  :func:`as_audit_output` takes either.
+A NaN gap (two exact-zero draws in one comparison) gets no bin on either
+path.
+
+Every float sum in the package runs left to right, through
+:func:`ordered_sum`, ``np.cumsum`` or ``np.bincount``, never through the
+builtin ``sum`` or the pairwise ``np.sum``, so outputs have the same bits
+on every Python version.
 
 Input d draws from the seed's ``audit-d`` stream and d' from its
 ``audit-d-prime`` stream (see :class:`gapdp.noise.SeededSource`).
@@ -40,8 +47,10 @@ workers and merged by summing counts.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -139,11 +148,8 @@ class Release:
 
     @property
     def consumed(self) -> float:
-        """The trail summed left to right (``sum`` compensates on Python >= 3.12)."""
-        total = 0.0
-        for charge in self.trail:
-            total += charge
-        return total
+        """The trail summed left to right."""
+        return ordered_sum(self.trail)
 
     @property
     def remaining(self) -> float:
@@ -157,6 +163,12 @@ class Release:
     def audit_output(self) -> tuple[tuple[int, ...], tuple[float, ...]]:
         """The codes and the released gaps: what the auditor bins."""
         return self.codes, self.gaps
+
+
+def ordered_sum(values) -> float:
+    """``values`` added left to right from 0.0, as ``sum`` adds floats up to
+    Python 3.11 (from 3.12 on it compensates rounding)."""
+    return functools.reduce(operator.add, values, 0.0)
 
 
 def as_audit_output(result) -> tuple[tuple, tuple[float, ...]]:
@@ -173,8 +185,11 @@ def as_audit_output(result) -> tuple[tuple, tuple[float, ...]]:
 
 
 def _key(result, width: float) -> tuple:
+    """The histogram key of one output.  A NaN gap (two exact-zero draws in
+    one comparison) gets no bin, as on the batch path, where NaN pads; the
+    codes still tell the output apart."""
     discrete, reals = as_audit_output(result)
-    return discrete, tuple([math.floor(g / width) for g in reals])
+    return discrete, tuple([math.floor(g / width) for g in reals if not math.isnan(g)])
 
 
 def _histogram(

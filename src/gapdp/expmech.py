@@ -29,7 +29,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .audit import Release
+from .audit import Release, ordered_sum
 from .noise import (
     Gumbel,
     RandomSource,
@@ -138,7 +138,7 @@ def log_sum_exp_excluding(scores: Sequence[float], s: int) -> float:
         raise IndexError(f"index {s} out of range for {n} scores")
     rest = [scores[i] for i in range(n) if i != s]
     m = max(rest)
-    return m + math.log(sum(math.exp(v - m) for v in rest))
+    return m + math.log(ordered_sum(math.exp(v - m) for v in rest))
 
 
 def exp_mech_gumbel(u: UtilityTable, src: RandomSource) -> ExpMechResult:

@@ -31,8 +31,10 @@ reads a fixed number of draws, the measurement draws follow them, and
 :func:`gapdp.postprocess.blue_topk_rows` or
 :func:`~gapdp.postprocess.fuse_svt_rows` combines them.  Each trial reads
 the uniforms a scalar run replaying its block would read and every sum
-keeps the scalar left-to-right order, so the output does not depend on the
-chunking; ``tests/test_harness.py`` holds the scalar per-trial reference.
+keeps the scalar left-to-right order (:func:`gapdp.audit.ordered_sum`, and
+``np.bincount`` for the pooled batch sums), so the output does not depend
+on the chunking or on the Python version; ``tests/test_harness.py`` holds
+the scalar per-trial reference.
 
 Synthetic data replaces the transaction datasets with a spec string such as
 ``n=200,step=100,base=1000,order=shuffle,mono=1``.
@@ -51,6 +53,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import audit as audit_mod
+from .audit import ordered_sum
 from .expmech import (
     UtilityTable,
     exp_mech_blackbox_batch,
@@ -173,11 +176,13 @@ def synthetic_queries(spec: str, seed: int) -> QuerySet:
         n = int(params["n"])
         step = float(params["step"])
         base = float(params["base"])
-        mono = bool(int(params["mono"]))
+        mono = int(params["mono"])
     except ValueError as exc:
         raise ConfigError(f"bad synthetic spec {spec!r}: {exc}") from exc
     if n < 2:
         raise ConfigError("synthetic n must be >= 2")
+    if mono not in (0, 1):
+        raise ConfigError(f"synthetic mono must be 0 or 1, got {mono}")
     values = [base + step * (n - rank) for rank in range(1, n + 1)]
     order = params["order"]
     if order == "asc":
@@ -187,7 +192,10 @@ def synthetic_queries(spec: str, seed: int) -> QuerySet:
         values = [values[i] for i in np.argsort(u, kind="stable")]
     elif order != "desc":
         raise ConfigError(f"unknown synthetic order {order!r}")
-    return QuerySet(tuple(values), monotonic=mono)
+    try:
+        return QuerySet(tuple(values), monotonic=bool(mono))
+    except ValueError as exc:  # a value that is not finite
+        raise ConfigError(f"bad synthetic spec {spec!r}: {exc}") from exc
 
 
 def _load_queries(cfg: ExperimentConfig) -> QuerySet:
@@ -232,10 +240,10 @@ def _mean_stderr(samples: Sequence[float]) -> tuple[float, float]:
     n = len(samples)
     if n == 0:
         return math.nan, math.nan
-    mean = sum(samples) / n
+    mean = ordered_sum(samples) / n
     if n < 2:
         return mean, 0.0
-    var = sum((s - mean) ** 2 for s in samples) / (n - 1)
+    var = ordered_sum((s - mean) ** 2 for s in samples) / (n - 1)
     return mean, math.sqrt(var / n)
 
 
@@ -253,30 +261,18 @@ class _RatioAccumulator:
 
     def add(self, trial: np.ndarray, base_sq: np.ndarray, new_sq: np.ndarray) -> None:
         """Add squared errors listed in trial-then-item order, ``trial[i]``
-        being the trial of entry i.  Each batch sum runs left to right
-        (``np.cumsum``, never the pairwise ``np.sum``), so it does not
-        depend on how the trials were chunked."""
-        if not len(trial):
-            return
-        batch = trial * _N_BATCHES // self.trials
-        start = np.flatnonzero(np.diff(batch, prepend=-1))
-        length = np.diff(start, append=len(batch))
-        touched = batch[start]  # distinct: trials come in order
-        # One row per touched batch: its running sum, its entries in order,
-        # then zeros.  Adding +0.0 leaves a sum of squares as it is, so the
-        # last column of the row-wise cumsum is the left-to-right batch sum.
-        rows = np.repeat(np.arange(len(start)), length)
-        cols = np.arange(1, len(batch) + 1) - np.repeat(start, length)
-        table = np.zeros((2, len(start), 1 + int(length.max())))
-        table[:, :, 0] = self.sums[:, touched]
-        table[0, rows, cols] = base_sq
-        table[1, rows, cols] = new_sq
-        self.sums[:, touched] = np.cumsum(table, axis=2)[:, :, -1]
+        being the trial of entry i.  ``np.bincount`` adds each bin's weights
+        in index order, so with the running sums listed first every batch
+        sum runs left to right and does not depend on how the trials were
+        chunked."""
+        batch = np.concatenate([np.arange(_N_BATCHES), trial * _N_BATCHES // self.trials])
+        for sums, errors in zip(self.sums, (base_sq, new_sq)):
+            sums[:] = np.bincount(batch, np.concatenate([sums, errors]), _N_BATCHES)
 
     def reduction(self) -> tuple[float, float]:
         base, new = self.sums.tolist()
-        total_base = sum(base)
-        total_new = sum(new)
+        total_base = ordered_sum(base)
+        total_new = ordered_sum(new)
         if total_base <= 0.0:
             return math.nan, math.nan
         overall = 1.0 - total_new / total_base

@@ -20,6 +20,8 @@ Monotonic-query scale reductions do not apply to either hybrid.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .audit import Release
@@ -70,7 +72,9 @@ class HybridIdentityResult(HybridResult):
         return tuple((index - 1, gap) for index, gap in self.pairs if index != THRESHOLD_SENTINEL)
 
 
-def _check(q: QuerySet, k: int, eps: float) -> None:
+def _check(q: QuerySet, threshold: float, k: int, eps: float) -> None:
+    if not math.isfinite(threshold):
+        raise ValueError(f"threshold must be finite, got {threshold}")
     n = len(q.values)
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -103,7 +107,7 @@ def hybrid_identity_batch(q: QuerySet, threshold: float, k: int, eps: float):
     uniform matrix (threshold draw first) to every trial's released indices
     (int64, -1 after the sentinel) and gaps (float64, NaN after it).
     """
-    _check(q, k, eps)
+    _check(q, threshold, k, eps)
     kind = Exponential(2.0 * k / eps)
     offsets = np.concatenate([[threshold], q.value_array])
 
@@ -148,7 +152,7 @@ def hybrid_estimates_batch(
     (int64, -1 padded) and gaps over the noisy threshold (float64, NaN
     padded).
     """
-    _check(q, k, eps)
+    _check(q, threshold, k, eps)
     if not 0.0 < theta < 1.0:
         raise ValueError("theta must be in (0, 1)")
     thr = FamilyNoise("exponential", theta * eps)

@@ -185,7 +185,10 @@ def _release(q: QuerySet, cfg: SvtConfig, src: RandomSource) -> SvtResult:
     ``src``: the threshold draw and the draws of every query, taken as one
     (1, draws) matrix whether or not the scan reads them all (``trial`` of
     :func:`_scanner`: on a wide row only the queries that can pass the test
-    are tagged)."""
+    are tagged).  A public threshold must be finite; only the kernel takes
+    a placeholder with per-row thresholds."""
+    if not math.isfinite(cfg.threshold):
+        raise ValueError(f"threshold must be finite, got {cfg.threshold}")
     draws, _, trial = _scanner(q, cfg)
     scanned, cols, tags, gaps = trial(src.uniform_matrix(1, draws)[0])
     codes, reported = [0] * scanned, tags.tolist()

@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .audit import Release
+from .audit import Release, ordered_sum
 from .noise import FamilyNoise, NoiseKind, RandomSource, ceiling
 from .queries import QuerySet
 
@@ -210,4 +210,4 @@ def pairwise_gap(r: TopKResult, a: int, b: int) -> float:
     k = len(r.gaps)
     if not 1 <= a < b <= k + 1:
         raise ValueError(f"ranks must satisfy 1 <= a < b <= {k + 1}, got a={a}, b={b}")
-    return sum(r.gaps[a - 1:b - 1])
+    return ordered_sum(r.gaps[a - 1:b - 1])

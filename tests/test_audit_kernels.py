@@ -669,6 +669,21 @@ def test_chunk_boundary_keeps_the_stream(name):
     assert batch_src.uniform() == scalar_src.uniform()
 
 
+def test_nan_gap_gets_one_key_on_both_paths():
+    # Every 500th trial draws exact zeros for the threshold and the first
+    # query: both noises are -inf, the query is reported above with a NaN
+    # gap, and both paths key it by its codes alone.
+    case = CASES["gap_svt"]
+    draws, _ = case.mech.batch(case.d)
+    U = SeededSource(13).uniform_matrix(10_000, draws)
+    U[::500, :2] = 0.0
+    cfg = SimpleNamespace(trials=10_000, bin_width=case.bin_width)
+    batch = audit._histogram(case.mech, case.d, ReplaySource(U.ravel()), cfg)
+    scalar = audit._histogram(scalar_only(case.mech), case.d, ReplaySource(U.ravel()), cfg)
+    assert batch == scalar
+    assert batch[(1,), ()] == 20
+
+
 def test_uniform_matrix_continues_the_scalar_stream():
     a, b = SeededSource(5), SeededSource(5)
     drawn = [a.uniform() for _ in range(3)]

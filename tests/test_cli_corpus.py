@@ -93,6 +93,8 @@ RUNS: dict[str, list[str]] = {
     "error-dataset-and-synthetic": ["adaptive-counts", "--dataset", "transactions.dat",
                                     "--synthetic", "n=60"],
     "error-dataset-missing": ["adaptive-counts", "--dataset", "no-such-file.txt", "--k", "2"],
+    "error-synthetic-not-finite": ["mse-reduction-svt", "--synthetic",
+                                   "n=40,step=1e308,base=1e308"],
     "edge-one-trial": ["precision-fmeasure", "--synthetic", "n=60,step=3,base=100", "--eps", "0.7",
                        "--k", "2,5", "--trials", "1", "--seed", "8"],
 }

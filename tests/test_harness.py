@@ -1,3 +1,4 @@
+import builtins
 import json
 import math
 
@@ -5,7 +6,9 @@ import numpy as np
 import pytest
 
 from gapdp import audit, harness
+from gapdp.audit import Release
 from gapdp.cli import main
+from gapdp.expmech import log_sum_exp_excluding
 from gapdp.harness import (
     EXPERIMENTS,
     ConfigError,
@@ -18,7 +21,7 @@ from gapdp.harness import (
 from gapdp.noise import STREAMS, Laplace, ReplaySource, SeededSource, sample
 from gapdp.postprocess import BlueInput, VarianceModel, blue_topk, fuse_svt, svt_variance_model
 from gapdp.svt import SvtConfig, adaptive_svt, gap_svt
-from gapdp.topk import gap_topk
+from gapdp.topk import TopKResult, gap_topk, pairwise_gap
 
 COLUMNS = ("experiment", "parameter", "empirical", "theoretical", "stderr", "trials", "seed")
 
@@ -40,7 +43,8 @@ class TestSyntheticQueries:
     def test_mono_flag(self):
         assert not synthetic_queries("n=4,mono=0", seed=0).monotonic
 
-    @pytest.mark.parametrize("spec", ["n=1", "bad", "n=4,order=weird", "zzz=3"])
+    @pytest.mark.parametrize("spec", ["n=1", "bad", "n=4,order=weird", "zzz=3", "step=nan",
+                                      "base=inf", "n=40,step=1e308,base=1e308", "mono=2"])
     def test_bad_specs(self, spec):
         with pytest.raises(ConfigError):
             synthetic_queries(spec, seed=0)
@@ -362,6 +366,14 @@ def scan_config(cfg, qs, eps, k, threshold, theta, adaptive=False):
     return SvtConfig(eps, k, threshold, theta, cfg.noise, qs.monotonic, adaptive)
 
 
+def in_order(values):
+    """The float sum from 0.0, left to right, whatever ``sum`` does."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 def pooled(errors, trials):
     """100 * (1 - new/base) over (trial, base, new) squared errors, and the
     stderr over 50 trial batches."""
@@ -369,10 +381,11 @@ def pooled(errors, trials):
     for t, b, n in errors:
         base[t * 50 // trials] += b
         new[t * 50 // trials] += n
-    if sum(base) <= 0.0:
+    if in_order(base) <= 0.0:
         return math.nan, math.nan
     ratios = [1.0 - n / b for n, b in zip(new, base) if b > 0.0]
-    return 100.0 * (1.0 - sum(new) / sum(base)), 100.0 * harness._mean_stderr(ratios)[1]
+    return (100.0 * (1.0 - in_order(new) / in_order(base)),
+            100.0 * harness._mean_stderr(ratios)[1])
 
 
 def reference_cell(cfg, qs, eps, k):
@@ -505,6 +518,55 @@ def test_ratio_accumulator_sums_left_to_right_whatever_the_chunks():
             for s in range(0, len(trial), chunk):
                 acc.add(trial[s:s + chunk], base_sq[s:s + chunk], new_sq[s:s + chunk])
             assert acc.sums.tolist() == [want_base, want_new], (trials, chunk)
+        # Empty calls, as a chunk with no reported query makes, change nothing.
+        acc = harness._RatioAccumulator(trials)
+        for s in range(0, len(trial), 4096):
+            acc.add(trial[:0], base_sq[:0], new_sq[:0])
+            acc.add(trial[s:s + 4096], base_sq[s:s + 4096], new_sq[s:s + 4096])
+        acc.add(trial[:0], base_sq[:0], new_sq[:0])
+        assert acc.sums.tolist() == [want_base, want_new], (trials, "empty calls")
+
+
+def compensated_sum(values, start=0, *, _sum=builtins.sum):
+    """``sum`` as Python 3.12 adds floats, with Neumaier compensation; the
+    real ``sum`` for anything else."""
+    values = list(values)
+    if start != 0 or not all(isinstance(v, float) for v in values):
+        return _sum(values, start)
+    total = compensation = 0.0
+    for v in values:
+        t = total + v
+        if abs(total) >= abs(v):
+            compensation += (total - t) + v
+        else:
+            compensation += (v - t) + total
+        total = t
+    return total + compensation
+
+
+@pytest.mark.parametrize("experiment", [e for e in EXPERIMENTS if e != "audit"])
+def test_rows_do_not_depend_on_how_sum_rounds(experiment, monkeypatch):
+    # Every float sum runs left to right, so a compensated builtin sum, as
+    # on Python 3.12 and later, moves no bit of the output.
+    cfg = ExperimentConfig(experiment=experiment, eps=(0.3, 0.7, 2.0), k=(2, 5), trials=60,
+                           seed=11, synthetic="n=60,step=3,base=100,order=shuffle,mono=0")
+    want = repr(run_experiment(cfg))
+    monkeypatch.setattr(builtins, "sum", compensated_sum)
+    assert repr(run_experiment(cfg)) == want
+
+
+def test_float_helpers_do_not_depend_on_how_sum_rounds(monkeypatch):
+    tenths = (0.1,) * 10
+    ranked = TopKResult(tuple(range(10)), tenths, 1.0, (1.0,))
+    record = Release((), (), 2.0, tenths)
+    scores = [math.log(i) for i in range(1, 10)]
+    calls = (lambda: pairwise_gap(ranked, 1, 11), lambda: record.consumed,
+             lambda: log_sum_exp_excluding(scores, 0))
+    want = [f() for f in calls]
+    assert want[:2] == [in_order(tenths)] * 2 == [0.9999999999999999] * 2
+    monkeypatch.setattr(builtins, "sum", compensated_sum)
+    assert sum(tenths) == 1.0  # the patch rounds otherwise
+    assert [f() for f in calls] == want
 
 
 TRIAL_EXPERIMENTS = [e for e in EXPERIMENTS if e != "audit"]

@@ -140,6 +140,26 @@ def test_a_source_defining_only_uniform_serves_every_mechanism(name):
         assert only.uniform() == replay.uniform()
 
 
+THRESHOLD_MECHANISMS = {
+    "gap_svt": lambda t, src: gap_svt(QuerySet(VALUES), SvtConfig(EPS, K, t, THETA), src),
+    "adaptive_svt": lambda t, src: adaptive_svt(
+        QuerySet(VALUES), SvtConfig(EPS, K, t, THETA, adaptive=True), src),
+    "hybrid_identity": lambda t, src: hybrid_identity(QuerySet(VALUES), t, K, EPS, src),
+    "hybrid_estimates": lambda t, src: hybrid_estimates(QuerySet(VALUES), t, K, EPS, THETA, src),
+}
+
+
+@pytest.mark.parametrize("threshold", [nan, inf, -inf])
+@pytest.mark.parametrize("name", THRESHOLD_MECHANISMS)
+def test_a_threshold_that_is_not_finite_is_refused_before_any_draw(name, threshold):
+    # NaN or +inf would release nothing and still charge; -inf would release
+    # infinite gaps.  The release refuses the threshold and reads no draw.
+    src = SeededSource(4)
+    with pytest.raises(ValueError, match="threshold must be finite"):
+        THRESHOLD_MECHANISMS[name](threshold, src)
+    assert src.uniform() == SeededSource(4).uniform()
+
+
 # Draws far from the simple uniforms, so every noisy value has a long repr.
 DRAWS = tuple(np.random.default_rng(2017).uniform(0.05, 0.95, 64).tolist())
 

@@ -12,8 +12,6 @@ slack (three binomial standard errors of the worst bin's log-ratio).
 Every public mechanism returns a :class:`Release`, whose ``audit_output()``
 gives (discrete structure, released gaps); a scalar test or planted
 mechanism may return that pair itself.  :func:`as_audit_output` takes either.
-A NaN gap (two exact-zero draws in one comparison) gets no bin on either
-path.
 
 Every float sum in the package runs left to right, through
 :func:`ordered_sum`, ``np.cumsum`` or ``np.bincount``, never through the
@@ -47,10 +45,8 @@ workers and merged by summing counts.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
-import operator
 from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -168,7 +164,10 @@ class Release:
 def ordered_sum(values) -> float:
     """``values`` added left to right from 0.0, as ``sum`` adds floats up to
     Python 3.11 (from 3.12 on it compensates rounding)."""
-    return functools.reduce(operator.add, values, 0.0)
+    total = 0.0
+    for v in values:
+        total += v
+    return total
 
 
 def as_audit_output(result) -> tuple[tuple, tuple[float, ...]]:

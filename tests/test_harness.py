@@ -527,48 +527,6 @@ def test_ratio_accumulator_sums_left_to_right_whatever_the_chunks():
         assert acc.sums.tolist() == [want_base, want_new], (trials, "empty calls")
 
 
-def compensated_sum(values, start=0, *, _sum=builtins.sum):
-    """``sum`` as Python 3.12 adds floats, with Neumaier compensation; the
-    real ``sum`` for anything else."""
-    values = list(values)
-    if start != 0 or not all(isinstance(v, float) for v in values):
-        return _sum(values, start)
-    total = compensation = 0.0
-    for v in values:
-        t = total + v
-        if abs(total) >= abs(v):
-            compensation += (total - t) + v
-        else:
-            compensation += (v - t) + total
-        total = t
-    return total + compensation
-
-
-@pytest.mark.parametrize("experiment", [e for e in EXPERIMENTS if e != "audit"])
-def test_rows_do_not_depend_on_how_sum_rounds(experiment, monkeypatch):
-    # Every float sum runs left to right, so a compensated builtin sum, as
-    # on Python 3.12 and later, moves no bit of the output.
-    cfg = ExperimentConfig(experiment=experiment, eps=(0.3, 0.7, 2.0), k=(2, 5), trials=60,
-                           seed=11, synthetic="n=60,step=3,base=100,order=shuffle,mono=0")
-    want = repr(run_experiment(cfg))
-    monkeypatch.setattr(builtins, "sum", compensated_sum)
-    assert repr(run_experiment(cfg)) == want
-
-
-def test_float_helpers_do_not_depend_on_how_sum_rounds(monkeypatch):
-    tenths = (0.1,) * 10
-    ranked = TopKResult(tuple(range(10)), tenths, 1.0, (1.0,))
-    record = Release((), (), 2.0, tenths)
-    scores = [math.log(i) for i in range(1, 10)]
-    calls = (lambda: pairwise_gap(ranked, 1, 11), lambda: record.consumed,
-             lambda: log_sum_exp_excluding(scores, 0))
-    want = [f() for f in calls]
-    assert want[:2] == [in_order(tenths)] * 2 == [0.9999999999999999] * 2
-    monkeypatch.setattr(builtins, "sum", compensated_sum)
-    assert sum(tenths) == 1.0  # the patch rounds otherwise
-    assert [f() for f in calls] == want
-
-
 TRIAL_EXPERIMENTS = [e for e in EXPERIMENTS if e != "audit"]
 
 
@@ -620,3 +578,45 @@ def test_one_source_per_cell_and_stream(experiment, monkeypatch):
     streams = ["cell", "cell-adaptive"] if experiment in ("adaptive-counts",
                                                           "precision-fmeasure") else ["cell"]
     assert built == [(6, STREAMS["synthetic"])] + [(6, STREAMS[s]) for s in streams] * 4
+
+
+def compensated_sum(values, start=0, *, _sum=builtins.sum):
+    """``sum`` as Python 3.12 adds floats, with Neumaier compensation; the
+    real ``sum`` for anything else."""
+    values = list(values)
+    if start != 0 or not all(isinstance(v, float) for v in values):
+        return _sum(values, start)
+    total = compensation = 0.0
+    for v in values:
+        t = total + v
+        if abs(total) >= abs(v):
+            compensation += (total - t) + v
+        else:
+            compensation += (v - t) + total
+        total = t
+    return total + compensation
+
+
+@pytest.mark.parametrize("experiment", TRIAL_EXPERIMENTS)
+def test_rows_do_not_depend_on_how_sum_rounds(experiment, monkeypatch):
+    # Every float sum runs left to right, so a compensated builtin sum, as
+    # on Python 3.12 and later, moves no bit of the output.
+    cfg = ExperimentConfig(experiment=experiment, eps=(0.3, 0.7, 2.0), k=(2, 5), trials=60,
+                           seed=11, synthetic="n=60,step=3,base=100,order=shuffle,mono=0")
+    want = repr(run_experiment(cfg))
+    monkeypatch.setattr(builtins, "sum", compensated_sum)
+    assert repr(run_experiment(cfg)) == want
+
+
+def test_float_helpers_do_not_depend_on_how_sum_rounds(monkeypatch):
+    tenths = (0.1,) * 10
+    ranked = TopKResult(tuple(range(10)), tenths, 1.0, (1.0,))
+    record = Release((), (), 2.0, tenths)
+    scores = [math.log(i) for i in range(1, 10)]
+    calls = (lambda: pairwise_gap(ranked, 1, 11), lambda: record.consumed,
+             lambda: log_sum_exp_excluding(scores, 0))
+    want = [f() for f in calls]
+    assert want[:2] == [in_order(tenths)] * 2 == [0.9999999999999999] * 2
+    monkeypatch.setattr(builtins, "sum", compensated_sum)
+    assert sum(tenths) == 1.0  # the patch rounds otherwise
+    assert [f() for f in calls] == want
